@@ -23,6 +23,7 @@ import numpy as np
 from ..errors import NotFittedError, ValidationError
 from ..ml.neural import MLPRegressor
 from ..obs import current_tracer
+from ..utils.numeric import sigmoid
 from ..utils.validation import check_1d, check_2d, check_consistent_length
 from .config import HighRPMConfig
 
@@ -64,15 +65,6 @@ class SRR:
     def _logit(s: np.ndarray) -> np.ndarray:
         s = np.clip(s, 1e-4, 1.0 - 1e-4)
         return np.log(s / (1.0 - s))
-
-    @staticmethod
-    def _sigmoid(z: np.ndarray) -> np.ndarray:
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
 
     # -------------------------------------------------------------------- fit
     def fit(self, pmcs: np.ndarray, p_node: np.ndarray, p_cpu: np.ndarray,
@@ -136,7 +128,7 @@ class SRR:
         with current_tracer().span("srr.split"):
             if self.use_pnode:
                 X = np.column_stack([p_node, pmcs])
-                share = self._sigmoid(self.model_.predict(X))
+                share = sigmoid(self.model_.predict(X))
                 budget = np.maximum(p_node - self.other_w_, 0.0)
                 return share * budget, (1.0 - share) * budget
             out = self.model_.predict(pmcs)
@@ -170,7 +162,7 @@ class SRR:
                     X[ofs:ofs + k, 0] = p_node
                     X[ofs:ofs + k, 1:] = pmcs
                     ofs += k
-                shares = np.split(self._sigmoid(self.model_.predict(X)), bounds)
+                shares = np.split(sigmoid(self.model_.predict(X)), bounds)
                 out = []
                 for (_, p_node), share in zip(checked, shares):
                     budget = np.maximum(p_node - self.other_w_, 0.0)

@@ -5,14 +5,32 @@ DynamicTRR (paper §4.2.2) is a compact LSTM — an input layer, two hidden
 of ``(PMCs, P'_node)`` rows and fine-tuned online whenever a real IM reading
 arrives. The GRU variant is the second RNN baseline from Table 4.
 
-Both networks share one implementation skeleton: stacked recurrent layers
-over sequences shaped ``(batch, time, features)``, a linear head applied to
-every timestep, MSE loss averaged over predicted steps, Adam updates, and
+Both networks run on one time-batched BPTT trainer: stacked recurrent
+layers over sequences shaped ``(batch, time, features)``, a linear head
+applied to every timestep, MSE loss averaged over labelled steps,
+global-norm gradient clipping, Adam on one flat parameter vector, and
 input/target standardisation handled internally.
 
-The time loop is a Python loop over ``T`` steps (windows are short —
-``miss_interval`` ≈ 10), with everything inside vectorised over the batch,
-per the HPC guide's "vectorise the hot axis" rule.
+Trainer layout. Each ``fit`` call allocates time-major ``(T, batch, ·)``
+workspaces once; the forward writes gate activations, cell states and
+hidden states into them in place. Only the recurrence itself walks the
+``T`` steps in Python — ``h @ U``, the gate nonlinearities and the state
+update forward, the chain through ``(d_h, d_c)`` and ``dz @ Uᵀ`` backward.
+Everything off the recurrence runs once over all steps: the input
+projections ``x_t @ W``, the backward's ``1 − s``, ``1 − g²`` and
+``1 − tanh²c`` factors, the weight gradients ``x_tᵀ @ dz`` / ``h_tᵀ @ dz``,
+and the layer-input gradients ``dz @ Wᵀ`` (skipped for layer 0, whose
+input gradient nobody reads). Inference runs the same forward with
+single-step scratch, so it collects nothing.
+
+Numerical contract: the trainer reproduces the per-timestep, per-cell
+reference loop (``tests/recurrent_oracle.py``) bit for bit —
+``params_``, ``head_b_`` and ``loss_curve_`` — which
+``tests/test_recurrent_trainer.py`` pins. Each stacked ``np.matmul``
+issues the same-shape BLAS GEMM per timestep that the reference issued,
+element-wise expressions keep the reference's association, and weight
+gradients are accumulated over reversed time in the reference's
+sequential ``+=`` order.
 """
 
 from __future__ import annotations
@@ -20,18 +38,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConvergenceError, ValidationError
+from ..utils.numeric import sigmoid
 from ..utils.rng import as_generator
 from ..utils.validation import check_positive
 from .base import Regressor
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def _check_sequences(X) -> np.ndarray:
@@ -43,8 +53,30 @@ def _check_sequences(X) -> np.ndarray:
     return X
 
 
+def _split(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``flat`` with the given shapes."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[offset:offset + size].reshape(shape))
+        offset += size
+    return views
+
+
+def _sum_reversed(terms: np.ndarray, out: np.ndarray) -> None:
+    """``out = ((0 + terms[T-1]) + terms[T-2]) + … + terms[0]``.
+
+    The reference loop accumulated each timestep's contribution with ``+=``
+    while walking time backwards. A reduction over a non-innermost axis
+    adds whole slices one after another in axis order, so reducing the
+    reversed view from an initial zero keeps the reference's bits (the
+    oracle pin in ``tests/test_recurrent_trainer.py`` enforces it).
+    """
+    np.add.reduce(terms[::-1], axis=0, out=out, initial=0.0)
+
+
 class _RecurrentBase(Regressor):
-    """Shared training loop; subclasses provide cell forward/backward."""
+    """Shared trainer; subclasses provide the per-layer forward/backward."""
 
     #: gates per cell (4 for LSTM, 3 for GRU); set by subclass.
     _n_gates: int = 0
@@ -79,13 +111,19 @@ class _RecurrentBase(Regressor):
         self._y_mean = self._y_scale = 1.0
 
     # -- subclass hooks ------------------------------------------------------
-    def _cell_forward(self, layer, x_t, state):
+    def _workspace(self, T: int, batch: int, d_in: int, train: bool) -> dict:
+        """Buffers for one layer; ``train`` adds the per-step history and
+        the backward's scratch."""
         raise NotImplementedError
 
-    def _cell_backward(self, layer, cache, d_h, d_state, grads):
+    def _layer_forward(self, layer: int, x: np.ndarray, ws: dict) -> np.ndarray:
+        """Run one layer over time-major ``x (T, batch, d_in)``; return its
+        hidden states ``(T + 1, batch, H)`` with the zero initial state at 0."""
         raise NotImplementedError
 
-    def _zero_state(self, layer_idx: int, batch: int):
+    def _layer_backward(self, layer, x, ws, d_h, grads, need_dx):
+        """Backpropagate ``d_h (T, batch, H)`` through one layer, writing the
+        ``(W, U, b)`` gradients into ``grads``; return ``d_x`` if asked."""
         raise NotImplementedError
 
     # -- parameter management --------------------------------------------------
@@ -114,23 +152,92 @@ class _RecurrentBase(Regressor):
         flat.append(self.head_w_)
         return flat
 
-    # -- forward over a batch of sequences -------------------------------------
-    def _forward(self, X: np.ndarray, collect: bool = False):
-        """Run the stack; returns per-step predictions (batch, T) and caches."""
-        batch, T, _ = X.shape
-        h_all = X
-        caches: list[list] = [[] for _ in range(self.num_layers)]
-        for layer in range(self.num_layers):
-            state = self._zero_state(layer, batch)
-            outs = np.empty((batch, T, self.hidden_size))
-            for t in range(T):
-                h_t, state, cache = self._cell_forward(layer, h_all[:, t, :], state)
-                outs[:, t, :] = h_t
-                if collect:
-                    caches[layer].append(cache)
-            h_all = outs
-        preds = h_all @ self.head_w_ + self.head_b_  # (batch, T)
-        return preds, h_all, caches
+    def _flat_buffer(self) -> "tuple[np.ndarray, list[np.ndarray]]":
+        """A flat vector laid out ``[W, U, b]*, head_w, head_b`` and its
+        views, one per parameter tensor (``head_b``'s is 0-d)."""
+        tensors = self._flat_params()
+        flat = np.empty(sum(t.size for t in tensors) + 1)
+        return flat, _split(flat, [t.shape for t in tensors] + [()])
+
+    def _pack(self) -> np.ndarray:
+        """Copy every parameter into one flat vector (``_flat_buffer``'s
+        layout) and rebind ``params_``/``head_w_`` as views of it."""
+        tensors = self._flat_params()
+        theta, views = self._flat_buffer()
+        for view, tensor in zip(views, tensors):
+            view[...] = tensor
+        theta[-1] = self.head_b_
+        self.params_ = [
+            dict(zip("WUb", views[3 * layer:3 * layer + 3]))
+            for layer in range(self.num_layers)
+        ]
+        self.head_w_ = views[-2]
+        return theta
+
+    def _check_width(self, X: np.ndarray) -> None:
+        expected = self.params_[0]["W"].shape[0]
+        if X.shape[2] != expected:
+            raise ValidationError(
+                f"model was fitted on {expected} features per step; "
+                f"got {X.shape[2]}"
+            )
+
+    # -- forward / backward over a batch of sequences --------------------------
+    def _forward(self, x: np.ndarray, workspaces) -> np.ndarray:
+        """Run the stack over time-major ``x``; return the top layer's
+        hidden states batch-major ``(batch, T, H)``."""
+        for layer, ws in enumerate(workspaces):
+            x = self._layer_forward(layer, x, ws)[1:]
+        return np.ascontiguousarray(x.transpose(1, 0, 2))
+
+    def _standardise(self, X: np.ndarray) -> np.ndarray:
+        """Standardised inputs, time-major ``(T, n, d)`` and contiguous, so
+        every per-step slice (and minibatch gather) is one block."""
+        n, T, d = X.shape
+        Xt = np.subtract(X.transpose(1, 0, 2), self._x_mean, out=np.empty((T, n, d)))
+        Xt /= self._x_scale
+        return Xt
+
+    def _workspaces(self, T: int, batch: int, train: bool) -> list[dict]:
+        return [
+            self._workspace(T, batch, p["W"].shape[0], train) for p in self.params_
+        ]
+
+    def _backprop(self, xb, yb, mb, workspaces, g_views) -> float:
+        """Loss of one batch (time-major ``xb``, batch-major standardised
+        labels ``yb`` and mask ``mb``); writes its gradient into ``g_views``
+        — ``[W, U, b]`` per layer, ``head_w``, then ``head_b`` (0-d)."""
+        h_top = self._forward(xb, workspaces)
+        preds = h_top @ self.head_w_ + self.head_b_  # (batch, T)
+        err = np.where(mb, preds - np.where(mb, yb, 0.0), 0.0)
+        n_labels = int(mb.sum())
+        loss = float((err**2).sum() / max(n_labels, 1))
+        if not np.isfinite(loss):
+            raise ConvergenceError("RNN training diverged")
+        d_pred = 2.0 * err / max(n_labels, 1)  # (batch, T)
+        g_views[-2][...] = np.einsum("bt,bth->h", d_pred, h_top)
+        g_views[-1][...] = d_pred.sum()
+        d_h = np.ascontiguousarray(d_pred.T)[:, :, None] * self.head_w_
+        for layer in range(self.num_layers - 1, -1, -1):
+            x = xb if layer == 0 else workspaces[layer - 1]["h"][1:]
+            d_h = self._layer_backward(
+                layer, x, workspaces[layer], d_h, g_views[3 * layer:3 * layer + 3],
+                need_dx=layer > 0,
+            )
+        return loss
+
+    @staticmethod
+    def _labels(y, n: int, T: int) -> np.ndarray:
+        y_arr = np.asarray(y, dtype=np.float64)
+        if y_arr.shape == (n,):
+            Y = np.full((n, T), np.nan)
+            Y[:, -1] = y_arr
+            return Y
+        if y_arr.shape == (n, T):
+            return y_arr.copy()
+        raise ValidationError(
+            f"y must have shape ({n},) or ({n},{T}); got {y_arr.shape}"
+        )
 
     # -- training ---------------------------------------------------------------
     def fit(self, X, y, warm_start: bool = False, max_iter: "int | None" = None):
@@ -140,118 +247,107 @@ class _RecurrentBase(Regressor):
         (full per-step labels, the DynamicTRR construction from Fig. 4).
         """
         X = _check_sequences(X)
-        y_arr = np.asarray(y, dtype=np.float64)
         n, T, d = X.shape
-        if y_arr.ndim == 1:
-            Y = np.full((n, T), np.nan)
-            Y[:, -1] = y_arr
-        elif y_arr.shape == (n, T):
-            Y = y_arr.copy()
+        Y = self._labels(y, n, T)
+        warm = warm_start and self.params_ is not None
+        if warm:
+            self._check_width(X)
         else:
-            raise ValidationError(
-                f"y must have shape ({n},) or ({n},{T}); got {y_arr.shape}"
-            )
+            finite = Y[np.isfinite(Y)]
+            if finite.size == 0:
+                raise ValidationError("y has no finite label to fit on")
         rng = as_generator(self.random_state)
-        if not (warm_start and self.params_ is not None):
+        if not warm:
             self._x_mean = X.reshape(-1, d).mean(axis=0)
             xs = X.reshape(-1, d).std(axis=0)
             xs[xs == 0.0] = 1.0
             self._x_scale = xs
-            finite = Y[np.isfinite(Y)]
             self._y_mean = float(finite.mean())
             ysc = float(finite.std())
             self._y_scale = ysc if ysc > 0 else 1.0
             self._init_params(d, rng)
             self.loss_curve_ = []
 
-        Xs = (X - self._x_mean) / self._x_scale
+        Xt = self._standardise(X)
         Ys = (Y - self._y_mean) / self._y_scale
         label_mask = np.isfinite(Ys)
 
-        flat = self._flat_params()
-        m1 = [np.zeros_like(p) for p in flat] + [0.0]
-        m2 = [np.zeros_like(p) for p in flat] + [0.0]
+        theta = self._pack()
+        grad, g_views = self._flat_buffer()
+        n_recurrent = theta.size - self.hidden_size - 1  # L2 covers W, U, b
+        m1 = np.zeros_like(theta)
+        m2 = np.zeros_like(theta)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         bs = min(self.batch_size, n)
         iters = self.max_iter if max_iter is None else int(max_iter)
-        step = 0
-        for it in range(iters):
+        workspaces = self._workspaces(T, bs, train=True)
+        for step in range(1, iters + 1):
             idx = rng.integers(0, n, size=bs)
-            xb, yb, mb = Xs[idx], Ys[idx], label_mask[idx]
-            preds, h_all, caches = self._forward(xb, collect=True)
-            err = np.where(mb, preds - np.where(mb, yb, 0.0), 0.0)
-            n_labels = int(mb.sum())
-            loss = float((err**2).sum() / max(n_labels, 1))
-            if not np.isfinite(loss):
-                raise ConvergenceError("RNN training diverged")
+            loss = self._backprop(
+                Xt[:, idx], Ys[idx], label_mask[idx], workspaces, g_views
+            )
             self.loss_curve_.append(loss)
 
-            # Backward.
-            d_pred = 2.0 * err / max(n_labels, 1)  # (batch, T)
-            grads = [
-                {k: np.zeros_like(v) for k, v in p.items()} for p in self.params_
-            ]
-            g_head_w = np.einsum("bt,bth->h", d_pred, h_all)
-            g_head_b = float(d_pred.sum())
-            d_h_top = d_pred[:, :, None] * self.head_w_[None, None, :]
-            T_steps = xb.shape[1]
-            d_below = d_h_top
-            for layer in range(self.num_layers - 1, -1, -1):
-                d_state = self._zero_state(layer, bs)
-                d_x_seq = np.empty(
-                    (bs, T_steps, self.params_[layer]["W"].shape[0])
-                )
-                for t in range(T_steps - 1, -1, -1):
-                    d_x, d_state = self._cell_backward(
-                        layer, caches[layer][t], d_below[:, t, :], d_state,
-                        grads[layer],
-                    )
-                    d_x_seq[:, t, :] = d_x
-                d_below = d_x_seq
-
-            # L2 penalty.
-            for p, g in zip(self.params_, grads):
-                for k in p:
-                    g[k] += self.alpha * p[k]
+            # L2 penalty on the recurrent weights.
+            grad[:n_recurrent] += self.alpha * theta[:n_recurrent]
 
             # Gradient clipping by global norm.
-            flat_grads = []
-            for g in grads:
-                flat_grads.extend([g["W"], g["U"], g["b"]])
-            flat_grads.append(g_head_w)
-            norm = np.sqrt(sum(float((g**2).sum()) for g in flat_grads) + g_head_b**2)
-            if norm > self.clip:
-                scale = self.clip / norm
-                flat_grads = [g * scale for g in flat_grads]
-                g_head_b *= scale
-
-            # Adam.
-            step += 1
-            flat = self._flat_params()
-            for i, (p, g) in enumerate(zip(flat, flat_grads)):
-                m1[i] = beta1 * m1[i] + (1 - beta1) * g
-                m2[i] = beta2 * m2[i] + (1 - beta2) * g**2
-                p -= self.lr * (m1[i] / (1 - beta1**step)) / (
-                    np.sqrt(m2[i] / (1 - beta2**step)) + eps
-                )
-            m1[-1] = beta1 * m1[-1] + (1 - beta1) * g_head_b
-            m2[-1] = beta2 * m2[-1] + (1 - beta2) * g_head_b**2
-            self.head_b_ -= self.lr * (m1[-1] / (1 - beta1**step)) / (
-                np.sqrt(m2[-1] / (1 - beta2**step)) + eps
+            norm = np.sqrt(
+                sum(float((g**2).sum()) for g in g_views[:-1])
+                + float(grad[-1]) ** 2
             )
+            if norm > self.clip:
+                grad *= self.clip / norm
+
+            # Adam, over every parameter at once.
+            m1 *= beta1
+            m1 += (1 - beta1) * grad
+            m2 *= beta2
+            m2 += (1 - beta2) * grad**2
+            theta -= self.lr * (m1 / (1 - beta1**step)) / (
+                np.sqrt(m2 / (1 - beta2**step)) + eps
+            )
+            self.head_b_ = float(theta[-1])
         return self
 
     def partial_fit(self, X, y, n_steps: int = 20):
         """Online fine-tuning with a small step budget (DynamicTRR §4.2.2)."""
         return self.fit(X, y, warm_start=True, max_iter=n_steps)
 
+    def loss_gradient(self, X, y):
+        """Training loss over every sequence of ``(X, y)``, and its gradient.
+
+        The forward and backward pass ``fit`` runs on each minibatch, at the
+        current parameters and without the L2 term or clipping. Returns
+        ``(loss, grads)``: one ``{"W", "U", "b"}`` dict per layer, as in
+        ``params_``, then ``{"w": ∂loss/∂head_w_, "b": ∂loss/∂head_b_}``.
+        """
+        self._check_fitted("params_")
+        X = _check_sequences(X)
+        self._check_width(X)
+        n, T, _ = X.shape
+        Ys = (self._labels(y, n, T) - self._y_mean) / self._y_scale
+        Xt = self._standardise(X)
+        _, g_views = self._flat_buffer()
+        loss = self._backprop(
+            Xt, Ys, np.isfinite(Ys), self._workspaces(T, n, train=True), g_views
+        )
+        grads = [dict(zip("WUb", g_views[3 * k:3 * k + 3]))
+                 for k in range(self.num_layers)]
+        grads.append({"w": g_views[-2], "b": float(g_views[-1])})
+        return loss, grads
+
     # -- inference ----------------------------------------------------------------
     def predict(self, X, return_sequences: bool = False) -> np.ndarray:
         """Predict power for each window; last step by default."""
         self._check_fitted("params_")
         X = _check_sequences(X)
-        Xs = (X - self._x_mean) / self._x_scale
-        preds, _, _ = self._forward(Xs, collect=True)
+        self._check_width(X)
+        n, T, _ = X.shape
+        h_top = self._forward(
+            self._standardise(X), self._workspaces(T, n, train=False)
+        )
+        preds = h_top @ self.head_w_ + self.head_b_
         preds = preds * self._y_scale + self._y_mean
         return preds if return_sequences else preds[:, -1]
 
@@ -261,49 +357,110 @@ class LSTMRegressor(_RecurrentBase):
 
     _n_gates = 4
 
-    def _zero_state(self, layer_idx: int, batch: int):
-        h = np.zeros((batch, self.hidden_size))
-        c = np.zeros((batch, self.hidden_size))
-        return (h, c)
-
-    def _cell_forward(self, layer, x_t, state):
-        h_prev, c_prev = state
-        p = self.params_[layer]
+    def _workspace(self, T, batch, d_in, train):
         H = self.hidden_size
-        z = x_t @ p["W"] + h_prev @ p["U"] + p["b"]
-        i = _sigmoid(z[:, :H])
-        f = _sigmoid(z[:, H : 2 * H])
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        o = _sigmoid(z[:, 3 * H :])
-        c = f * c_prev + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        cache = (x_t, h_prev, c_prev, i, f, g, o, c, tanh_c)
-        return h, (h, c), cache
+        steps = T if train else 1  # inference keeps only the current step
+        ws = {
+            "train": train,
+            "z": np.empty((T, batch, 4 * H)),      # pre-activations, then dz
+            "hu": np.empty((batch, 4 * H)),        # h_{t-1} @ U
+            "tmp": np.empty((batch, 2 * H)),
+            "h": np.zeros((T + 1, batch, H)),
+            "s": np.empty((steps, batch, 4 * H)),  # sigmoid of [i, f, ·, o]
+            # Per step [g, c_{t-1}, i, tanh c_t]: each gate's partner in the
+            # backward's first product (see _layer_backward). Row t's c slot
+            # is step t's previous cell state; the extra row holds the last.
+            "cell": np.zeros((steps + 1, batch, 4 * H)),
+        }
+        if train:
+            ws.update(
+                one_minus=np.empty((T, batch, 4 * H)),  # [1-i, 1-f, 1-g², 1-o]
+                one_minus_tc2=np.empty((T, batch, H)),
+                d_h=np.empty((batch, H)),
+                d_c=np.empty((batch, H)),
+                d_h_rec=np.empty((batch, H)),
+                d_c_rec=np.empty((batch, H)),
+                g_w=np.empty((T, d_in, 4 * H)),
+                g_u=np.empty((T, H, 4 * H)),
+                d_x=np.empty((T, batch, d_in)),
+            )
+        return ws
 
-    def _cell_backward(self, layer, cache, d_h_ext, d_state, grads):
-        x_t, h_prev, c_prev, i, f, g, o, c, tanh_c = cache
-        d_h_rec, d_c_rec = d_state
-        d_h = d_h_ext + d_h_rec
+    def _layer_forward(self, layer, x, ws):
         p = self.params_[layer]
+        U, b = p["U"], p["b"]
         H = self.hidden_size
-        d_o = d_h * tanh_c
-        d_c = d_h * o * (1.0 - tanh_c**2) + d_c_rec
-        d_f = d_c * c_prev
-        d_i = d_c * g
-        d_g = d_c * i
-        d_c_prev = d_c * f
-        dz = np.empty((x_t.shape[0], 4 * H))
-        dz[:, :H] = d_i * i * (1 - i)
-        dz[:, H : 2 * H] = d_f * f * (1 - f)
-        dz[:, 2 * H : 3 * H] = d_g * (1 - g**2)
-        dz[:, 3 * H :] = d_o * o * (1 - o)
-        grads["W"] += x_t.T @ dz
-        grads["U"] += h_prev.T @ dz
-        grads["b"] += dz.sum(axis=0)
-        d_x = dz @ p["W"].T
-        d_h_prev = dz @ p["U"].T
-        return d_x, (d_h_prev, d_c_prev)
+        train = ws["train"]
+        z, hu, tmp, h, s, cell = (
+            ws[k] for k in ("z", "hu", "tmp", "h", "s", "cell")
+        )
+        np.matmul(x, p["W"], out=z)  # every step's x_t @ W
+        for t in range(x.shape[0]):
+            k = t if train else 0
+            z_t, s_t, cell_t = z[t], s[k], cell[k]
+            z_t += np.matmul(h[t], U, out=hu)
+            z_t += b
+            sigmoid(z_t, out=s_t)
+            np.tanh(z_t[:, 2 * H:3 * H], out=cell_t[:, :H])
+            # [i·g, f·c_{t-1}] in one product; c_t = f·c_{t-1} + i·g.
+            np.multiply(s_t[:, :2 * H], cell_t[:, :2 * H], out=tmp)
+            c_t = cell[k + 1][:, H:2 * H]
+            np.add(tmp[:, H:], tmp[:, :H], out=c_t)
+            np.tanh(c_t, out=cell_t[:, 3 * H:])
+            np.multiply(s_t[:, 3 * H:], cell_t[:, 3 * H:], out=h[t + 1])
+            if not train:
+                cell_t[:, H:2 * H] = c_t
+        return h
+
+    def _layer_backward(self, layer, x, ws, d_ext, grads, need_dx):
+        p = self.params_[layer]
+        U = p["U"]
+        H = self.hidden_size
+        T, B, _ = x.shape
+        h, s, cell, om = ws["h"], ws["s"], ws["cell"][:T], ws["one_minus"]
+        om_tc2 = ws["one_minus_tc2"]
+        dz = ws["z"]  # the pre-activations are spent; reuse their buffer
+        # Off-recurrence factors for every step at once. With them each
+        # gate's dz is ((driver · partner) · act) · one_minus, the reference
+        # association: driver is d_c for i, f, g and d_h for o, partner is
+        # the cell block [g, c_{t-1}, i, tanh c], act is s with an exact 1
+        # in the g slot.
+        s4, cell4 = s.reshape(T, B, 4, H), cell.reshape(T, B, 4, H)
+        om4 = om.reshape(T, B, 4, H)
+        cell4[:, :, 2] = s4[:, :, 0]
+        np.subtract(1.0, s, out=om)
+        np.square(cell4[:, :, 0], out=om4[:, :, 2])
+        np.subtract(1.0, om4[:, :, 2], out=om4[:, :, 2])
+        s4[:, :, 2] = 1.0
+        np.square(cell4[:, :, 3], out=om_tc2)
+        np.subtract(1.0, om_tc2, out=om_tc2)
+
+        d_h, d_c, d_h_rec, d_c_rec = (
+            ws[k] for k in ("d_h", "d_c", "d_h_rec", "d_c_rec")
+        )
+        d_h_rec.fill(0.0)
+        d_c_rec.fill(0.0)
+        d_c3 = d_c[:, None, :]
+        U_T = U.T
+        for t in range(T - 1, -1, -1):
+            s_t, dz_t = s[t], dz[t]
+            dz4, cell_t4 = dz_t.reshape(B, 4, H), cell4[t]
+            np.add(d_ext[t], d_h_rec, out=d_h)
+            np.multiply(d_h, s_t[:, 3 * H:], out=d_c)
+            d_c *= om_tc2[t]
+            d_c += d_c_rec
+            np.multiply(d_c3, cell_t4[:, :3], out=dz4[:, :3])
+            np.multiply(d_h, cell_t4[:, 3], out=dz4[:, 3])
+            dz_t *= s_t
+            dz_t *= om[t]
+            np.multiply(d_c, s_t[:, H:2 * H], out=d_c_rec)
+            np.matmul(dz_t, U_T, out=d_h_rec)
+
+        g_W, g_U, g_b = grads
+        _sum_reversed(np.matmul(x.transpose(0, 2, 1), dz, out=ws["g_w"]), g_W)
+        _sum_reversed(np.matmul(h[:-1].transpose(0, 2, 1), dz, out=ws["g_u"]), g_U)
+        _sum_reversed(dz.sum(axis=1), g_b)
+        return np.matmul(dz, p["W"].T, out=ws["d_x"]) if need_dx else None
 
 
 class GRURegressor(_RecurrentBase):
@@ -311,43 +468,90 @@ class GRURegressor(_RecurrentBase):
 
     _n_gates = 3
 
-    def _zero_state(self, layer_idx: int, batch: int):
-        return np.zeros((batch, self.hidden_size))
+    def _workspace(self, T, batch, d_in, train):
+        H = self.hidden_size
+        steps = T if train else 1
+        ws = {
+            "train": train,
+            "z": np.empty((T, batch, 3 * H)),        # x_t @ W + b, then dzx
+            "zh": np.empty((steps, batch, 3 * H)),   # h_{t-1} @ U
+            "tmp": np.empty((batch, H)),
+            "h": np.zeros((T + 1, batch, H)),
+            "ru": np.empty((steps, batch, 2 * H)),   # [r, u]
+            "n": np.empty((steps, batch, H)),
+            "one_minus_u": np.empty((steps, batch, H)),
+        }
+        if train:
+            ws.update(
+                one_minus_ru=np.empty((T, batch, 2 * H)),
+                one_minus_n2=np.empty((T, batch, H)),
+                h_minus_n=np.empty((T, batch, H)),
+                dzh=np.empty((T, batch, 3 * H)),
+                d_h=np.empty((batch, H)),
+                d_h_rec=np.empty((batch, H)),
+                g_w=np.empty((T, d_in, 3 * H)),
+                g_u=np.empty((T, H, 3 * H)),
+                d_x=np.empty((T, batch, d_in)),
+            )
+        return ws
 
-    def _cell_forward(self, layer, x_t, state):
-        h_prev = state
+    def _layer_forward(self, layer, x, ws):
+        p = self.params_[layer]
+        U = p["U"]
+        H = self.hidden_size
+        train = ws["train"]
+        z, zh, tmp, h, ru, n, omu = (
+            ws[k] for k in ("z", "zh", "tmp", "h", "ru", "n", "one_minus_u")
+        )
+        np.matmul(x, p["W"], out=z)
+        z += p["b"]
+        for t in range(x.shape[0]):
+            k = t if train else 0
+            zh_t, ru_t, n_t, omu_t = zh[k], ru[k], n[k], omu[k]
+            z_t = z[t]
+            np.matmul(h[t], U, out=zh_t)
+            np.add(z_t[:, :2 * H], zh_t[:, :2 * H], out=ru_t)
+            sigmoid(ru_t, out=ru_t)
+            np.multiply(ru_t[:, :H], zh_t[:, 2 * H:], out=n_t)
+            np.add(z_t[:, 2 * H:], n_t, out=n_t)
+            np.tanh(n_t, out=n_t)
+            np.subtract(1.0, ru_t[:, H:], out=omu_t)
+            np.multiply(omu_t, n_t, out=h[t + 1])
+            h[t + 1] += np.multiply(ru_t[:, H:], h[t], out=tmp)
+        return h
+
+    def _layer_backward(self, layer, x, ws, d_ext, grads, need_dx):
         p = self.params_[layer]
         H = self.hidden_size
-        zx = x_t @ p["W"] + p["b"]
-        zh = h_prev @ p["U"]
-        r = _sigmoid(zx[:, :H] + zh[:, :H])
-        u = _sigmoid(zx[:, H : 2 * H] + zh[:, H : 2 * H])
-        n = np.tanh(zx[:, 2 * H :] + r * zh[:, 2 * H :])
-        h = (1.0 - u) * n + u * h_prev
-        cache = (x_t, h_prev, r, u, n, zh[:, 2 * H :])
-        return h, h, cache
+        T = x.shape[0]
+        ru, n, zh, h, omu = ws["ru"], ws["n"], ws["zh"], ws["h"], ws["one_minus_u"]
+        dzx, dzh, tmp = ws["z"], ws["dzh"], ws["tmp"]  # z is spent: reuse it
+        om_ru, om_n2, hmn = ws["one_minus_ru"], ws["one_minus_n2"], ws["h_minus_n"]
+        np.subtract(1.0, ru, out=om_ru)
+        np.square(n, out=om_n2)
+        np.subtract(1.0, om_n2, out=om_n2)
+        np.subtract(h[:-1], n, out=hmn)
 
-    def _cell_backward(self, layer, cache, d_h_ext, d_state, grads):
-        x_t, h_prev, r, u, n, zh_n = cache
-        d_h = d_h_ext + d_state
-        p = self.params_[layer]
-        H = self.hidden_size
-        d_u = d_h * (h_prev - n)
-        d_n = d_h * (1.0 - u)
-        d_h_prev = d_h * u
-        d_n_pre = d_n * (1.0 - n**2)
-        d_r = d_n_pre * zh_n
-        dzx = np.empty((x_t.shape[0], 3 * H))
-        dzh = np.empty_like(dzx)
-        dzx[:, :H] = d_r * r * (1 - r)
-        dzx[:, H : 2 * H] = d_u * u * (1 - u)
-        dzx[:, 2 * H :] = d_n_pre
-        dzh[:, :H] = dzx[:, :H]
-        dzh[:, H : 2 * H] = dzx[:, H : 2 * H]
-        dzh[:, 2 * H :] = d_n_pre * r
-        grads["W"] += x_t.T @ dzx
-        grads["U"] += h_prev.T @ dzh
-        grads["b"] += dzx.sum(axis=0)
-        d_x = dzx @ p["W"].T
-        d_h_prev = d_h_prev + dzh @ p["U"].T
-        return d_x, d_h_prev
+        d_h, d_h_rec = ws["d_h"], ws["d_h_rec"]
+        d_h_rec.fill(0.0)
+        U_T = p["U"].T
+        for t in range(T - 1, -1, -1):
+            ru_t, dzx_t, dzh_t = ru[t], dzx[t], dzh[t]
+            d_n_pre = dzx_t[:, 2 * H:]
+            np.add(d_ext[t], d_h_rec, out=d_h)
+            np.multiply(d_h, omu[t], out=d_n_pre)
+            d_n_pre *= om_n2[t]
+            np.multiply(d_n_pre, zh[t][:, 2 * H:], out=dzx_t[:, :H])  # d_r
+            np.multiply(d_h, hmn[t], out=dzx_t[:, H:2 * H])           # d_u
+            dzx_t[:, :2 * H] *= ru_t
+            dzx_t[:, :2 * H] *= om_ru[t]
+            dzh_t[:, :2 * H] = dzx_t[:, :2 * H]
+            np.multiply(d_n_pre, ru_t[:, :H], out=dzh_t[:, 2 * H:])
+            np.multiply(d_h, ru_t[:, H:], out=d_h_rec)
+            d_h_rec += np.matmul(dzh_t, U_T, out=tmp)
+
+        g_W, g_U, g_b = grads
+        _sum_reversed(np.matmul(x.transpose(0, 2, 1), dzx, out=ws["g_w"]), g_W)
+        _sum_reversed(np.matmul(h[:-1].transpose(0, 2, 1), dzh, out=ws["g_u"]), g_U)
+        _sum_reversed(dzx.sum(axis=1), g_b)
+        return np.matmul(dzx, p["W"].T, out=ws["d_x"]) if need_dx else None

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import NotFittedError
 from .compile import compile_tree
-from .flat_tree import _COMPRESS_EVERY, CompiledTree, _Workspace
+from .flat_tree import _COMPRESS_EVERY, CompiledTree, _Workspace, thread_scratch
 from .telemetry import record_predict
 
 
@@ -66,12 +66,10 @@ class TreeStack:
         )
         self.max_depth = max(t.max_depth for t in self.trees)
         self.min_leaf_depth = min(t.min_leaf_depth for t in self.trees)
-        self._ws: "_Workspace | None" = None
+        self._ws: "dict[int, tuple[int, _Workspace]]" = {}
 
     def _workspace(self, n: int) -> _Workspace:
-        if self._ws is None or self._ws.n != n:
-            self._ws = _Workspace(n)
-        return self._ws
+        return thread_scratch(self._ws, n, _Workspace)
 
     def predict(self, parts: "list[np.ndarray]") -> "list[np.ndarray]":
         """Per-tree predictions for per-tree row batches, in one descent.

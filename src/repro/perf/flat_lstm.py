@@ -34,19 +34,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NotFittedError
+from ..utils.numeric import sigmoid
 from .fastmath import gemm
 from .telemetry import record_predict
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Same two-branch stable sigmoid as repro.ml.recurrent._sigmoid
-    # (element-local, so batch-shape independent).
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 class CompiledLSTM:
@@ -133,12 +123,12 @@ class CompiledLSTM:
 
     @staticmethod
     def _gates(z: np.ndarray, c_prev: np.ndarray, H: int):
-        i = _sigmoid(z[:, :H])
-        f = _sigmoid(z[:, H:2 * H])
+        # One element-local sigmoid over the whole [i, f, g, o] block (its
+        # g slot goes unused: g is the tanh), so batch-shape independent.
+        s = sigmoid(z)
         g = np.tanh(z[:, 2 * H:3 * H])
-        o = _sigmoid(z[:, 3 * H:])
-        c = f * c_prev + i * g
-        return o * np.tanh(c), c
+        c = s[:, H:2 * H] * c_prev + s[:, :H] * g
+        return s[:, 3 * H:] * np.tanh(c), c
 
 
 def compile_lstm(model, window: int, fast_math: bool = False) -> CompiledLSTM:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fastmath import gemm
+from .flat_tree import thread_scratch
 from .telemetry import record_predict
 
 
@@ -52,8 +53,8 @@ class CompiledMLP:
     input checking, exactly as with the compiled trees.
     """
 
-    __slots__ = ("weights", "biases", "activation", "single_output", "_buf_n",
-                 "_bufs", "fast_math")
+    __slots__ = ("weights", "biases", "activation", "single_output", "_bufs",
+                 "fast_math")
 
     def __init__(
         self,
@@ -82,18 +83,18 @@ class CompiledMLP:
         self.biases = b
         self.activation = _INPLACE_ACTIVATIONS[activation]
         self.single_output = bool(single_output)
-        self._buf_n = -1
-        self._bufs: "list[np.ndarray]" = []
+        #: hidden-layer scratch, per thread (see ``thread_scratch``).
+        self._bufs: "dict[int, tuple[int, list[np.ndarray]]]" = {}
         #: opt-in tolerance tier: route the layer products through BLAS
         #: (see repro.perf.fastmath). Mutable so a service can flip one
         #: shared compiled model; False keeps the bit-identical einsum path.
         self.fast_math = bool(fast_math)
 
     def _buffers(self, n: int) -> "list[np.ndarray]":
-        if self._buf_n != n:
-            self._bufs = [np.empty((n, w.shape[1])) for w in self.weights[:-1]]
-            self._buf_n = n
-        return self._bufs
+        return thread_scratch(
+            self._bufs, n,
+            lambda k: [np.empty((k, w.shape[1])) for w in self.weights[:-1]],
+        )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         fast = self.fast_math

@@ -20,8 +20,9 @@ object walk's failed ``<=`` does. Leaves self-loop (both child slots point
 back at the leaf) with a ``+inf`` threshold, which lets the frontier run
 several levels between leaf checks: finished samples spin harmlessly in
 place until the next periodic compaction retires them. All per-level
-scratch lives in a :class:`_Workspace` cached on the compiled object, so a
-warmed predictor allocates nothing but its output.
+scratch lives in a :class:`_Workspace` cached on the compiled object per
+thread, so a warmed predictor allocates nothing but its output and threads
+sharing a model never share scratch.
 
 Ensembles descend tree-by-tree rather than over one concatenated node pool:
 a single tree's slot arrays are a few hundred KiB and stay cache-resident
@@ -35,6 +36,8 @@ order (stacked mean for forests, sequential shrinkage sum for boosting).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -61,6 +64,21 @@ def _node_depths(feature: np.ndarray, left: np.ndarray, right: np.ndarray) -> np
     return depth
 
 
+def thread_scratch(cache: dict, n: int, make):
+    """The calling thread's scratch for batch size ``n``, kept in ``cache``.
+
+    Compiled models are shared by thread-hosted fleet shards, so scratch is
+    per thread — one shared buffer would let one thread's forward overwrite
+    another's mid-flight. Rebuilt (``make(n)``) only when this thread's
+    batch size changes.
+    """
+    key = threading.get_ident()
+    hit = cache.get(key)
+    if hit is None or hit[0] != n:
+        hit = cache[key] = (n, make(n))
+    return hit[1]
+
+
 class _Workspace:
     """Per-batch-size scratch for the frontier descent.
 
@@ -68,10 +86,9 @@ class _Workspace:
     (the monitor restoring same-length traces) reuses every buffer.
     """
 
-    __slots__ = ("n", "slot", "pos", "idx", "x", "thr", "slot_c", "pos_c", "keep", "fin")
+    __slots__ = ("slot", "pos", "idx", "x", "thr", "slot_c", "pos_c", "keep", "fin")
 
     def __init__(self, n: int) -> None:
-        self.n = n
         self.slot = np.empty(n, dtype=np.intp)
         self.pos = np.empty(n, dtype=np.intp)
         self.idx = np.empty(n, dtype=np.intp)
@@ -125,16 +142,14 @@ class CompiledTree:
         child[0::2] = 2 * self.right
         child[1::2] = 2 * self.left
         self._slot_child = child
-        self._ws: "_Workspace | None" = None
+        self._ws: "dict[int, tuple[int, _Workspace]]" = {}
 
     @property
     def n_nodes(self) -> int:
         return int(self.value.shape[0])
 
     def _workspace(self, n: int) -> _Workspace:
-        if self._ws is None or self._ws.n != n:
-            self._ws = _Workspace(n)
-        return self._ws
+        return thread_scratch(self._ws, n, _Workspace)
 
     def _descend(self, xt: np.ndarray, n: int, ws: _Workspace, out: np.ndarray) -> None:
         """Fill ``out[i]`` with the leaf value of transposed-flat ``xt``.
@@ -210,12 +225,10 @@ class CompiledTreeEnsemble:
         self.trees = trees
         self.n_trees = len(trees)
         self.max_depth = max(t.max_depth for t in trees)
-        self._ws: "_Workspace | None" = None
+        self._ws: "dict[int, tuple[int, _Workspace]]" = {}
 
     def _workspace(self, n: int) -> _Workspace:
-        if self._ws is None or self._ws.n != n:
-            self._ws = _Workspace(n)
-        return self._ws
+        return thread_scratch(self._ws, n, _Workspace)
 
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
         """``(n_trees, n_samples)`` leaf values, one tree-row at a time."""

@@ -1,4 +1,4 @@
-"""Tests for the LSTM/GRU regressors (gradient check included)."""
+"""Tests for the LSTM/GRU regressors (central-difference gradient check included)."""
 
 import numpy as np
 import pytest
@@ -48,6 +48,8 @@ class TestRecurrentCommon:
     def test_rejects_bad_label_shape(self, cls):
         with pytest.raises(ValidationError):
             cls().fit(np.ones((10, 4, 2)), np.ones((10, 3)))
+        with pytest.raises(ValidationError):
+            cls().fit(np.ones((10, 4, 2)), np.ones(7))
 
     def test_predict_before_fit(self, cls):
         with pytest.raises(NotFittedError):
@@ -71,6 +73,26 @@ class TestRecurrentCommon:
         m.fit(X, Y)
         assert np.isfinite(m.predict(X)).all()
 
+    def test_rejects_labels_without_finite_value(self, cls):
+        y = np.full((10, 4), np.nan)
+        y[0, 0] = np.inf
+        with pytest.raises(ValidationError, match="no finite label"):
+            cls().fit(np.ones((10, 4, 2)), y)
+
+    def test_warm_start_rejects_other_width(self, cls, cumsum_sequences):
+        X, Y = cumsum_sequences
+        m = cls(hidden_size=4, num_layers=1, max_iter=5, random_state=0)
+        m.fit(X[:20], Y[:20])
+        wide = np.ones((5, 6, 4))
+        with pytest.raises(ValidationError, match="3 features"):
+            m.partial_fit(wide, Y[:5])
+        with pytest.raises(ValidationError, match="3 features"):
+            m.fit(wide, Y[:5], warm_start=True)
+        with pytest.raises(ValidationError, match="3 features"):
+            m.predict(wide)
+        # A cold refit may change the width.
+        assert m.fit(wide, Y[:5]).predict(wide).shape == (5,)
+
     def test_two_layer_stack_runs(self, cls, cumsum_sequences):
         X, Y = cumsum_sequences
         m = cls(hidden_size=6, num_layers=2, max_iter=80, random_state=0)
@@ -78,48 +100,47 @@ class TestRecurrentCommon:
         assert len(m.params_) == 2
 
 
-def _numeric_gradient_check(cls, tol):
-    """Finite-difference check of one parameter entry's gradient.
-
-    Uses a deterministic single batch (batch_size = n) and lr so small the
-    Adam step direction barely moves, then compares loss decrease direction.
-    Full analytic-vs-numeric checking is done by perturbing the loss
-    directly through the forward pass.
-    """
+def _central_difference_check(cls, tol):
+    """Every entry of every parameter tensor's analytic gradient (from the
+    public ``loss_gradient``) against a central difference of the loss."""
     rng = np.random.default_rng(0)
     X = rng.normal(size=(4, 3, 2))
     Y = rng.normal(size=(4, 3))
-    m = cls(hidden_size=3, num_layers=1, max_iter=1, lr=0.0, batch_size=4,
-            alpha=0.0, random_state=0)
-    m.fit(X, Y)  # initialises params; lr=0 means no movement
-
-    Xs = (X - m._x_mean) / m._x_scale
-    Ys = (Y - m._y_mean) / m._y_scale
+    Y[:2, 0] = np.nan  # masked steps take part in the check too
+    m = cls(hidden_size=3, num_layers=2, max_iter=5, random_state=0)
+    m.fit(X, Y)
+    _, grads = m.loss_gradient(X, Y)
 
     def loss() -> float:
-        preds, _, _ = m._forward(Xs, collect=True)
-        return float(np.mean((preds - Ys) ** 2))
+        return m.loss_gradient(X, Y)[0]
 
-    # Analytic gradient via one training step bookkeeping: recompute by hand.
-    # Instead compare numeric gradients of two entries for consistency with
-    # backprop by running a tiny lr step and checking loss decreases.
-    base = loss()
     eps = 1e-6
-    W = m.params_[0]["W"]
-    W[0, 0] += eps
+    tensors = [(p[k], g[k]) for p, g in zip(m.params_, grads) for k in "WUb"]
+    tensors.append((m.head_w_, grads[-1]["w"]))
+    for param, analytic in tensors:
+        assert analytic.shape == param.shape
+        numeric = np.empty_like(param)
+        for idx in np.ndindex(param.shape):
+            keep = param[idx]
+            param[idx] = keep + eps
+            up = loss()
+            param[idx] = keep - eps
+            down = loss()
+            param[idx] = keep
+            numeric[idx] = (up - down) / (2 * eps)
+        np.testing.assert_allclose(analytic, numeric, rtol=0, atol=tol)
+    keep = m.head_b_
+    m.head_b_ = keep + eps
     up = loss()
-    W[0, 0] -= 2 * eps
+    m.head_b_ = keep - eps
     down = loss()
-    W[0, 0] += eps
-    numeric = (up - down) / (2 * eps)
-    # Step in the negative numeric gradient direction must reduce the loss.
-    W[0, 0] -= 1e-3 * np.sign(numeric)
-    assert loss() <= base + tol
+    m.head_b_ = keep
+    assert abs(grads[-1]["b"] - (up - down) / (2 * eps)) <= tol
 
 
-def test_lstm_gradient_direction():
-    _numeric_gradient_check(LSTMRegressor, 1e-6)
+def test_lstm_gradient_matches_central_difference():
+    _central_difference_check(LSTMRegressor, 1e-7)
 
 
-def test_gru_gradient_direction():
-    _numeric_gradient_check(GRURegressor, 1e-6)
+def test_gru_gradient_matches_central_difference():
+    _central_difference_check(GRURegressor, 1e-7)

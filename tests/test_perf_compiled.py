@@ -6,6 +6,9 @@ unfused MLP forward). Tree-family paths must be bit-identical; the fused
 MLP reassociates its affine folds, so it gets a tight float tolerance.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +170,44 @@ class TestMLPEquivalence:
             np.testing.assert_allclose(
                 mlp.predict(Xq), mlp._predict_reference(Xq), rtol=1e-10, atol=1e-9
             )
+
+
+@pytest.mark.parametrize("kind", ["mlp", "tree", "forest"])
+def test_shared_model_is_thread_safe(rng, kind):
+    """Thread-hosted fleet shards share one fitted model: concurrent
+    same-size predictions must not share scratch buffers."""
+    X = rng.normal(size=(600, 6))
+    y = X.sum(axis=1) + np.sin(3 * X[:, 0])
+    model = {
+        "mlp": lambda: MLPRegressor(hidden_layer_sizes=(32, 32), max_iter=20,
+                                    random_state=0),
+        "tree": lambda: DecisionTreeRegressor(max_depth=10),
+        "forest": lambda: RandomForestRegressor(n_estimators=3, random_state=0),
+    }[kind]().fit(X, y)
+    queries = [rng.normal(size=(200, 6)) for _ in range(4)]
+    want = [model.predict(q).copy() for q in queries]
+    failures = []
+
+    def hammer(k):
+        try:
+            for _ in range(100):
+                if not np.array_equal(model.predict(queries[k]), want[k]):
+                    failures.append(k)
+        except Exception as exc:  # a torn workspace can also raise
+            failures.append(exc)
+
+    threads = [threading.Thread(target=hammer, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-forward
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
 
 
 class TestCacheInvalidation:
