@@ -1,11 +1,12 @@
-"""Fleet front-end: many nodes, one shared model, batched inference.
+"""The run driver: many nodes, one shared model, batched inference.
 
 The paper's deployment is one HighRPM service shared by many computing
-nodes (§4.1). Observing the fleet one ``observe_run`` at a time pays every
-per-call inference overhead — the ResModel frontier setup, the SRR
-forward — once *per node per chunk*. :class:`FleetMonitor` interleaves the
-registered nodes' runs chunk by chunk and, per tick, batches the
-cross-node predict calls through the compiled flat-array layer:
+nodes (§4.1). :class:`FleetMonitor` is the only driver of the observation
+pipeline: it opens a run per node, interleaves the registered nodes' runs
+chunk by chunk, and closes each run when its source is exhausted.
+``PowerMonitorService.observe_run`` is a fleet of one. Per tick, the
+cross-node predict calls are batched through the compiled flat-array
+layer:
 
 * static runs' per-run ResModel trees are fused into
   :class:`~repro.perf.TreeStack` frontier descents over every node's
@@ -15,21 +16,41 @@ cross-node predict calls through the compiled flat-array layer:
   chunk in one concatenated forward pass (two-way SRR for CPU classes,
   three-way GPUSRR for accelerated ones).
 
-Both batched paths are bit-identical per node to the sequential
-``observe_run`` pipeline (the compiled predictors are batch-size
-independent), so fleet results equal single-node results exactly —
+Both batched paths are bit-identical per node to per-chunk prediction
+(the compiled predictors are batch-size independent), and a group of one
+falls back to it, so fleet results equal single-node results exactly —
 including on heterogeneous fleets.
 """
 
 from __future__ import annotations
 
-from ..core.highrpm import MonitorResult
+from contextlib import contextmanager
+
+import numpy as np
+
+from ..core.highrpm import (
+    PROV_MEASURED,
+    PROV_MODEL_ONLY,
+    PROV_RESTORED,
+    MonitorResult,
+)
 from ..errors import ValidationError
 from ..obs import use_registry, use_tracer
 from ..perf.batch import TreeStack, single_tree_of
 from ..types import TraceBundle
-from .pipeline import ObservationContext, input_chunks
+from .pipeline import ObservationContext, build_pipeline, input_chunks
 from .profile import apply_attribution
+
+#: Human-readable provenance labels for the sample-mix counter.
+_PROV_LABELS = {
+    PROV_MEASURED: "measured",
+    PROV_RESTORED: "restored",
+    PROV_MODEL_ONLY: "model_only",
+}
+
+#: IM readings that survive per run: a smoke trace keeps a handful, a
+#: campaign trace a few hundred.
+_READINGS_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 1024.0)
 
 
 class _FleetRun:
@@ -49,21 +70,31 @@ class FleetMonitor:
     """Interleaves runs from N registered nodes through one service.
 
     ``submit`` opens a run per node (at most one in flight per node);
-    every ``tick`` advances each active run by one ``chunk_size`` chunk,
-    batching ResModel and SRR inference across the fleet. ``observe_all``
-    is the submit-and-drain convenience wrapper.
+    every ``tick`` advances each active run by one ``chunk_size`` chunk
+    (``None``: the whole run as one chunk), batching ResModel and SRR
+    inference across the fleet. ``observe_all`` is the submit-and-drain
+    convenience wrapper.
+
+    A step that raises loses every run whose chunk it was carrying: those
+    runs leave the active set and count once in
+    ``repro_monitor_failed_runs_total{node}``, and the exception
+    propagates. The profiler prices every step and counts a run (and its
+    samples) when it finishes.
     """
 
-    def __init__(self, service, chunk_size: int = 256) -> None:
-        if chunk_size < 1:
+    def __init__(self, service, chunk_size: "int | None" = 256) -> None:
+        if chunk_size is not None and chunk_size < 1:
             raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
         self.service = service
-        self.chunk_size = int(chunk_size)
+        self.chunk_size = None if chunk_size is None else int(chunk_size)
+        #: the staged observation pipeline; stages are stateless, per-run
+        #: state travels on an ObservationContext.
+        self.pipeline = build_pipeline()
         self._runs: "dict[str, _FleetRun]" = {}
         #: stage positions resolved by name once, so inserting a stage in
         #: build_pipeline (e.g. calibrate) cannot silently skew the
         #: interleaved per-stage apply() calls below.
-        names = [s.name for s in service._pipeline.stages]
+        names = [s.name for s in self.pipeline.stages]
         self._restore_i = names.index("restore")
         self._attribute_i = names.index("attribute")
         #: per-PMC-width (member trees, stack) from the previous tick — the
@@ -78,65 +109,73 @@ class FleetMonitor:
     def active_nodes(self) -> tuple:
         return tuple(self._runs)
 
-    def submit(self, node_id: str, bundle: TraceBundle, online: bool = True) -> None:
-        """Open one run for a node (ingest + gate happen here)."""
+    @contextmanager
+    def _step(self, span: str, at_risk: "set[str]"):
+        """One driver step under the service's registry, tracer and
+        profiler. If it raises, every run named in ``at_risk`` is lost.
+
+        The ambient registry and tracer route the pipeline's own
+        instrumentation (TRR/SRR spans, the online fine-tune counters, the
+        perf dispatch mix) into this service for the step's duration."""
         service = self.service
-        if node_id not in service._nodes:
-            raise ValidationError(f"unknown node {node_id!r}; register it first")
+        with use_registry(service.registry), use_tracer(service.tracer), \
+                service.profiler.measure() as cost:
+            cost.runs = 0
+            try:
+                with service.tracer.span(span):
+                    yield cost
+            except Exception:
+                failed = service.registry.counter(
+                    "repro_monitor_failed_runs_total",
+                    "Runs lost to an exception inside the monitor.", ("node",),
+                )
+                for node_id in at_risk:
+                    self._runs.pop(node_id, None)
+                    failed.labels(node=node_id).inc()
+                raise
+
+    def submit(self, node_id: str, bundle: TraceBundle, online: bool = True) -> None:
+        """Open one run for a node (ingest, calibrate and gate happen here)."""
         if node_id in self._runs:
             raise ValidationError(f"node {node_id!r} already has an active run")
-        health = service._health[node_id]
+        ctx = ObservationContext(self.service, node_id, bundle, online,
+                                 self.chunk_size)
+        health = ctx.health
         before = (health.retries, health.gated_readings,
                   health.outages, health.degraded_runs)
-        ctx = ObservationContext(service, node_id, bundle, online, self.chunk_size)
-        with use_registry(service.registry), use_tracer(service.tracer):
-            try:
-                with service.tracer.span("fleet.submit"):
-                    service._pipeline.open_run(ctx)
-            except Exception:
-                service.registry.counter(
-                    "repro_monitor_failed_runs_total",
-                    "observe_run calls that raised.", ("node",),
-                ).labels(node=node_id).inc()
-                raise
+        with self._step("fleet.submit", {node_id}):
+            self.pipeline.open_run(ctx)
         self._runs[node_id] = _FleetRun(ctx, input_chunks(ctx), before)
 
     def tick(self) -> "dict[str, MonitorResult]":
         """Advance every active run by one chunk; returns finished runs."""
-        service = self.service
-        pipeline = service._pipeline
         if not self._runs:
             return {}
-        completed: "list[tuple[str, _FleetRun]]" = []
-        with use_registry(service.registry), use_tracer(service.tracer), \
-                service.profiler.measure() as cost:
-            with service.tracer.span("fleet.tick"):
-                cost.samples = self._advance(pipeline)
+        finished: "dict[str, MonitorResult]" = {}
+        at_risk: "set[str]" = set()
+        with self._step("fleet.tick", at_risk) as cost:
+            self._advance(at_risk)
             for node_id in [nid for nid, r in self._runs.items() if r.exhausted]:
-                run = self._runs.pop(node_id)
-                pipeline.close_run(run.ctx)
-                result = service._assemble(run.ctx, run.chunks)
-                service._finish_run(run.ctx, result)
-                completed.append((node_id, result, run.before))
-        finished = {}
-        for node_id, result, before in completed:
-            service._emit_run_metrics(node_id, result, before)
-            finished[node_id] = result
+                at_risk.add(node_id)
+                finished[node_id] = self._close(self._runs.pop(node_id))
+                at_risk.discard(node_id)
+            cost.runs = len(finished)
+            cost.samples = sum(len(result) for result in finished.values())
         return finished
 
-    def _advance(self, pipeline) -> int:
+    def _advance(self, at_risk: "set[str]") -> None:
         """One interleaved step: pre-restore stages → batched restore →
         batched attribute → post-attribute stages for every active run.
-        Returns samples processed."""
-        samples = 0
+        A run is in ``at_risk`` while its chunk is between source and sink."""
+        pipeline = self.pipeline
         n_stages = len(pipeline.stages)
         pending = []  # (run, chunk) ready for the restore stage
-        for run in self._runs.values():
+        for node_id, run in self._runs.items():
             chunk = next(run.source, None)
-            if chunk is None:  # defensive: empty source
+            if chunk is None:  # an empty run, or a final chunk already sunk
                 run.exhausted = True
                 continue
-            samples += chunk.n_samples
+            at_risk.add(node_id)
             run.exhausted = chunk.final
             chunks = [chunk]
             for i in range(self._restore_i):  # ingest, calibrate, gate
@@ -148,6 +187,8 @@ class FleetMonitor:
         for run, chunk in pending:
             for c in pipeline.apply(run.ctx, chunk, self._restore_i):
                 restored.append((run, c))
+        # a chunk the static restorer held back is safe in its fusion window
+        at_risk.intersection_update(run.ctx.node_id for run, _ in restored)
         self._batch_attribution(restored)
         for run, chunk in restored:
             chunks = [chunk]
@@ -155,7 +196,7 @@ class FleetMonitor:
                 chunks = [c2 for c in chunks
                           for c2 in pipeline.apply(run.ctx, c, i)]
             run.chunks.extend(chunks)
-        return samples
+            at_risk.discard(run.ctx.node_id)
 
     def _batch_residuals(self, pending) -> None:
         """Pre-fill static chunks' ResModel outputs with TreeStack descents
@@ -213,6 +254,104 @@ class FleetMonitor:
             for (_, c), parts in zip(todo, splits):
                 apply_attribution(c, parts)
 
+    # ---------------------------------------------------------- end of run
+    def _close(self, run: _FleetRun) -> MonitorResult:
+        """Close one exhausted run: sinks end it, its chunks are assembled,
+        and health, governor feedback and run metrics are recorded."""
+        ctx = run.ctx
+        self.pipeline.close_run(ctx)
+        result = _assemble(ctx, run.chunks)
+        _record_health(ctx, result)
+        self._feed_governor(ctx, result)
+        self._emit_run_metrics(ctx.node_id, result, run.before)
+        return result
+
+    def _feed_governor(self, ctx: ObservationContext, result: MonitorResult) -> None:
+        """Feed one finished run back into the sampling schedule."""
+        service = self.service
+        governor = service.governor
+        if governor is None or len(result) == 0:
+            return
+        budget = governor.policy.pinned_budget_fraction
+        if budget is None:
+            budget = service.profiler.budget_fraction
+        with service.tracer.span("sched.decide"):
+            decision = governor.update(
+                ctx.node_id, float(result.confidence().mean()), float(budget)
+            )
+        registry = service.registry
+        registry.gauge(
+            "repro_sched_stride",
+            "Sampling-governor IM reading stride per node (1 = dense).",
+            ("node",),
+        ).labels(node=ctx.node_id).set(decision.stride)
+        registry.gauge(
+            "repro_sched_interval_seconds",
+            "Effective IM sampling interval per node under the governor.",
+            ("node",),
+        ).labels(node=ctx.node_id).set(
+            float(ctx.sensor.interval_s * decision.stride)
+        )
+        registry.counter(
+            "repro_sched_decisions_total",
+            "Governor decisions by node and direction.",
+            ("node", "direction"),
+        ).labels(node=ctx.node_id, direction=decision.direction).inc()
+
+    def _emit_run_metrics(
+        self, node_id: str, result: MonitorResult, before: tuple
+    ) -> None:
+        """Publish one finished run's counters from the health deltas."""
+        registry = self.service.registry
+        health = self.service.health(node_id)
+        registry.counter(
+            "repro_monitor_runs_total",
+            "Observed runs by node and restoration mode.", ("node", "mode"),
+        ).labels(node=node_id, mode=result.mode).inc()
+        deltas = (
+            ("repro_monitor_retries_total",
+             "IM sample retries after transient failures.", health.retries),
+            ("repro_monitor_gated_readings_total",
+             "IM readings dropped by the plausibility gate.",
+             health.gated_readings),
+            ("repro_monitor_outage_runs_total",
+             "Runs degraded to model-only restoration.", health.outages),
+            ("repro_monitor_degraded_runs_total",
+             "Runs that needed retries, gating, or anchorless samples.",
+             health.degraded_runs),
+        )
+        for (name, help_text, after_value), before_value in zip(deltas, before):
+            if after_value > before_value:
+                registry.counter(name, help_text, ("node",)).labels(
+                    node=node_id
+                ).inc(after_value - before_value)
+        prov = result.provenance
+        if prov is None:
+            prov = np.full(len(result), PROV_RESTORED, dtype=np.uint8)
+        counts = np.bincount(prov, minlength=max(_PROV_LABELS) + 1)
+        samples = registry.counter(
+            "repro_monitor_samples_total",
+            "Logged samples by provenance.", ("provenance",),
+        )
+        for code, label in _PROV_LABELS.items():
+            if counts[code]:
+                samples.labels(provenance=label).inc(int(counts[code]))
+        registry.histogram(
+            "repro_monitor_readings_per_run",
+            "Measured IM readings surviving per observed run.",
+            buckets=_READINGS_BUCKETS,
+        ).observe(int(counts[PROV_MEASURED]))
+        energy = registry.counter(
+            "repro_monitor_component_energy_joules_total",
+            "Attributed component energy by node (1 Sa/s: watts sum to "
+            "joules).",
+            ("node", "component"),
+        )
+        for component, series in result.components.items():
+            total = float(series.sum())
+            if total > 0.0:
+                energy.labels(node=node_id, component=component).inc(total)
+
     def observe_all(
         self, runs, online: bool = True
     ) -> "dict[str, MonitorResult]":
@@ -224,3 +363,41 @@ class FleetMonitor:
         while self._runs:
             results.update(self.tick())
         return results
+
+
+def _assemble(ctx: ObservationContext, chunks) -> MonitorResult:
+    """Concatenate the pipeline's finished chunks into one result."""
+    if not chunks:
+        return MonitorResult(
+            p_node=np.empty(0), p_cpu=np.empty(0), p_mem=np.empty(0),
+            mode=ctx.mode, provenance=np.empty(0, dtype=np.uint8),
+        )
+    return MonitorResult(
+        p_node=np.concatenate([c.p_node for c in chunks]),
+        p_cpu=np.concatenate([c.p_cpu for c in chunks]),
+        p_mem=np.concatenate([c.p_mem for c in chunks]),
+        mode=ctx.mode,
+        provenance=np.concatenate([c.provenance for c in chunks]),
+        p_gpu=(
+            np.concatenate([c.p_gpu for c in chunks])
+            if chunks[0].p_gpu is not None else None
+        ),
+    )
+
+
+def _record_health(ctx: ObservationContext, result: MonitorResult) -> None:
+    """End-of-run health bookkeeping, shared by all modes."""
+    health = ctx.health
+    if ctx.degrade_reason is not None:
+        health.record_outage_run(ctx.degrade_reason)
+        return
+    retried = health.transient_failures - ctx.transients_before
+    gap_samples = int(result.model_only_mask.sum())
+    if ctx.gated or retried or gap_samples:
+        health.record_degraded_run(
+            f"{ctx.gated} reading(s) gated, {retried} transient "
+            f"failure(s) retried, {gap_samples} sample(s) restored "
+            f"without an anchor"
+        )
+    else:
+        health.record_healthy_run()

@@ -1,17 +1,17 @@
 """The observation pipeline: ingest → calibrate → gate → restore →
 attribute → sink.
 
-This is ``PowerMonitorService._observe`` decomposed into reusable
-:class:`~repro.stream.Stage` objects. Stages are stateless; everything
-mutable for one observed run lives on the :class:`ObservationContext`, so
-the same stage instances serve many interleaved runs (the fleet front-end
-drives one context per node through the shared stages).
+One observed run, decomposed into reusable :class:`~repro.stream.Stage`
+objects. Stages are stateless; everything mutable for one observed run
+lives on the :class:`ObservationContext`, so the same stage instances
+serve many interleaved runs. The run driver,
+:class:`~repro.monitor.fleet.FleetMonitor`, drives one context per node
+through the shared stages.
 
 Degradation policy is centralised in
 :meth:`ObservationContext.fail_or_degrade`: any stage that finds the IM
 feed unusable either raises (strict policies) or flags the whole run for
-model-only restoration — the bookkeeping that used to be duplicated
-between ``_observe`` and ``_observe_model_only``.
+model-only restoration.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class ObservationContext(RunContext):
         self.bundle = bundle
         self.online = bool(online)
         self.chunk_size = chunk_size
-        self.sensor = service._nodes[node_id]
-        self.health = service._health[node_id]
+        self.sensor = service.sensor(node_id)
+        self.health = service.health(node_id)
         self.policy = service.policy
         #: the node's device class resolves which restoration model,
         #: attribution head, and plausibility clamps serve this run.
@@ -56,7 +56,7 @@ class ObservationContext(RunContext):
         self.gated = 0
         self.transients_before = self.health.transient_failures
         #: set when the run degraded to model-only; consumed by the
-        #: service's end-of-run health bookkeeping.
+        #: driver's end-of-run health bookkeeping.
         self.degrade_reason: "str | None" = None
         #: bounded-memory restorer chosen by RestoreStage.open_run.
         self.restorer = None

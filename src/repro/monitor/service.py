@@ -51,7 +51,7 @@ from ..sensors.ipmi import IPMISensor
 from ..stream import Sink
 from ..types import TraceBundle
 from .budget import ClusterPowerBudget, NodeDemand
-from .pipeline import ObservationContext, build_pipeline, input_chunks
+from .fleet import FleetMonitor
 from .profile import (
     DEFAULT_DEVICE_CLASS,
     AttributionHead,
@@ -62,18 +62,6 @@ from .profile import (
 from .resilience import NodeHealth, ResiliencePolicy, sample_with_retry
 from .scheduler import SamplingGovernor
 from .sinks import MemoryLogSink
-
-#: Human-readable provenance labels for the sample-mix counter.
-_PROV_LABELS = {
-    PROV_MEASURED: "measured",
-    PROV_RESTORED: "restored",
-    PROV_MODEL_ONLY: "model_only",
-}
-
-#: IM readings that survive per run: a smoke trace keeps a handful, a
-#: campaign trace a few hundred.
-_READINGS_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 1024.0)
-
 
 class MonitorLog:
     """Accumulated restored estimates for one node.
@@ -239,8 +227,8 @@ class PowerMonitorService:
         # Observability: metrics land in the given registry (default: the
         # ambient one at construction time), pipeline spans are timed with
         # the given clock (default: the process monotonic clock; tests pass
-        # a ManualClock), and the profiler prices each observe_run against
-        # the paper's 1 Sa/s sampling budget.
+        # a ManualClock), and the profiler prices every run against the
+        # paper's 1 Sa/s sampling budget.
         self.registry = registry if registry is not None else get_registry()  # repro-lint: disable=registry-capture — the service is the injection boundary: callers pass an explicit registry (tests do), and the ambient fallback is the documented single-process default; per-shard workers receive the service's registry explicitly
         self.clock = clock if clock is not None else system_clock()
         self.tracer = Tracer(clock=self.clock, registry=self.registry)
@@ -266,9 +254,6 @@ class PowerMonitorService:
         #: extra sinks shared by every node (each node's in-memory log is
         #: always attached in front of these).
         self._sinks: "list[Sink]" = list(sinks) if sinks else []
-        #: the staged observation pipeline; stages are stateless, per-run
-        #: state travels on an ObservationContext.
-        self._pipeline = build_pipeline()
 
     # ------------------------------------------------------ device classes
     def register_device_class(
@@ -362,6 +347,15 @@ class PowerMonitorService:
         except KeyError:
             raise ValidationError(f"unknown node {node_id!r}") from None
 
+    def sensor(self, node_id: str) -> IPMISensor:
+        """The IM sensor registered for one node."""
+        try:
+            return self._nodes[node_id]
+        except KeyError:
+            raise ValidationError(
+                f"unknown node {node_id!r}; register it first"
+            ) from None
+
     def health(self, node_id: str) -> NodeHealth:
         try:
             return self._health[node_id]
@@ -430,13 +424,11 @@ class PowerMonitorService:
         ``drift=True`` (or a :class:`~repro.calib.DriftConfig`) for
         windowed drift tracking instead of a single static fit.
         """
-        if node_id not in self._nodes:
-            raise ValidationError(f"unknown node {node_id!r}; register it first")
+        sensor = self.sensor(node_id)
         with use_registry(self.registry), use_tracer(self.tracer):
             with self.tracer.span("calib.estimate"):
                 readings = sample_with_retry(
-                    self._nodes[node_id], bundle, self.policy,
-                    self._health[node_id],
+                    sensor, bundle, self.policy, self._health[node_id]
                 )
                 if drift:
                     config = drift if isinstance(drift, DriftConfig) \
@@ -459,11 +451,6 @@ class PowerMonitorService:
         ).labels(node=node_id).inc()
         self.set_calibration(node_id, estimate.transform())
         return estimate
-
-    # ------------------------------------------------------------ clamps
-    def _clamps(self) -> tuple[float, float]:
-        """Default-class power range (per-node gating uses the node's class)."""
-        return self._classes[DEFAULT_DEVICE_CLASS].clamps
 
     # ----------------------------------------------------- cluster budget
     def cluster_allocations(
@@ -525,9 +512,10 @@ class PowerMonitorService:
     ) -> MonitorResult:
         """Ingest one run from a node; returns the restored estimates.
 
-        ``chunk_size`` streams the run through the pipeline in fixed-size
-        chunks (bounded restorer state; bit-identical output); the default
-        processes it as one chunk.
+        The run goes through a one-node :class:`FleetMonitor`, the same
+        driver the fleet front-end uses. ``chunk_size`` streams it in
+        fixed-size chunks (bounded restorer state; bit-identical output);
+        the default processes it as one chunk.
 
         Never raises for a *failing feed* under the default policy: sensor
         outages, short bundles, and fully-gated streams degrade to
@@ -537,169 +525,11 @@ class PowerMonitorService:
         raise instead — outages as :class:`~repro.errors.SensorError`,
         unusable runs as :class:`~repro.errors.ValidationError`.
         """
-        if node_id not in self._nodes:
-            raise ValidationError(f"unknown node {node_id!r}; register it first")
-        health = self._health[node_id]
-        before = (health.retries, health.gated_readings,
-                  health.outages, health.degraded_runs)
-        # Route the pipeline's ambient instrumentation (TRR/SRR spans, the
-        # online fine-tune counters, the perf dispatch mix) into this
-        # service's registry and tracer for the duration of the run, and
-        # price the whole observation against the sampling budget.
-        with use_registry(self.registry), use_tracer(self.tracer), \
-                self.profiler.measure() as cost:
-            try:
-                with self.tracer.span("monitor.observe_run"):
-                    result = self._observe(node_id, bundle, online, chunk_size)
-            except Exception:
-                self.registry.counter(
-                    "repro_monitor_failed_runs_total",
-                    "observe_run calls that raised.", ("node",),
-                ).labels(node=node_id).inc()
-                raise
-            cost.samples = len(result)
-        self._emit_run_metrics(node_id, result, before)
-        return result
-
-    def _observe(
-        self, node_id: str, bundle: TraceBundle, online: bool,
-        chunk_size: "int | None" = None,
-    ) -> MonitorResult:
-        """One run through the staged pipeline (ingest → … → sink)."""
-        ctx = ObservationContext(self, node_id, bundle, online, chunk_size)
-        chunks = self._pipeline.run(ctx, input_chunks(ctx))
-        result = self._assemble(ctx, chunks)
-        self._finish_run(ctx, result)
-        return result
-
-    @staticmethod
-    def _assemble(ctx: ObservationContext, chunks) -> MonitorResult:
-        """Concatenate the pipeline's finished chunks into one result."""
-        if not chunks:
-            return MonitorResult(
-                p_node=np.empty(0), p_cpu=np.empty(0), p_mem=np.empty(0),
-                mode=ctx.mode, provenance=np.empty(0, dtype=np.uint8),
-            )
-        return MonitorResult(
-            p_node=np.concatenate([c.p_node for c in chunks]),
-            p_cpu=np.concatenate([c.p_cpu for c in chunks]),
-            p_mem=np.concatenate([c.p_mem for c in chunks]),
-            mode=ctx.mode,
-            provenance=np.concatenate([c.provenance for c in chunks]),
-            p_gpu=(
-                np.concatenate([c.p_gpu for c in chunks])
-                if chunks[0].p_gpu is not None else None
-            ),
-        )
-
-    def _finish_run(self, ctx: ObservationContext, result: MonitorResult) -> None:
-        """End-of-run health bookkeeping, shared by all modes."""
-        health = ctx.health
-        if ctx.degrade_reason is not None:
-            health.record_outage_run(ctx.degrade_reason)
-        else:
-            retried = health.transient_failures - ctx.transients_before
-            gap_samples = int(result.model_only_mask.sum())
-            if ctx.gated or retried or gap_samples:
-                health.record_degraded_run(
-                    f"{ctx.gated} reading(s) gated, {retried} transient "
-                    f"failure(s) retried, {gap_samples} sample(s) restored "
-                    f"without an anchor"
-                )
-            else:
-                health.record_healthy_run()
-        self._apply_governor(ctx, result)
-
-    def _apply_governor(
-        self, ctx: ObservationContext, result: MonitorResult
-    ) -> None:
-        """Feed one finished run back into the sampling schedule."""
-        governor = self._governor
-        if governor is None or len(result) == 0:
-            return
-        budget = governor.policy.pinned_budget_fraction
-        if budget is None:
-            budget = self.profiler.budget_fraction
-        with self.tracer.span("sched.decide"):
-            decision = governor.update(
-                ctx.node_id, float(result.confidence().mean()), float(budget)
-            )
-        registry = self.registry
-        registry.gauge(
-            "repro_sched_stride",
-            "Sampling-governor IM reading stride per node (1 = dense).",
-            ("node",),
-        ).labels(node=ctx.node_id).set(decision.stride)
-        registry.gauge(
-            "repro_sched_interval_seconds",
-            "Effective IM sampling interval per node under the governor.",
-            ("node",),
-        ).labels(node=ctx.node_id).set(
-            float(ctx.sensor.interval_s * decision.stride)
-        )
-        registry.counter(
-            "repro_sched_decisions_total",
-            "Governor decisions by node and direction.",
-            ("node", "direction"),
-        ).labels(node=ctx.node_id, direction=decision.direction).inc()
-
-    def _emit_run_metrics(
-        self, node_id: str, result: MonitorResult, before: tuple
-    ) -> None:
-        """Publish one finished run's counters from the health deltas."""
-        registry = self.registry
-        health = self._health[node_id]
-        registry.counter(
-            "repro_monitor_runs_total",
-            "Observed runs by node and restoration mode.", ("node", "mode"),
-        ).labels(node=node_id, mode=result.mode).inc()
-        deltas = (
-            ("repro_monitor_retries_total",
-             "IM sample retries after transient failures.", health.retries),
-            ("repro_monitor_gated_readings_total",
-             "IM readings dropped by the plausibility gate.",
-             health.gated_readings),
-            ("repro_monitor_outage_runs_total",
-             "Runs degraded to model-only restoration.", health.outages),
-            ("repro_monitor_degraded_runs_total",
-             "Runs that needed retries, gating, or anchorless samples.",
-             health.degraded_runs),
-        )
-        for (name, help_text, after_value), before_value in zip(deltas, before):
-            if after_value > before_value:
-                registry.counter(name, help_text, ("node",)).labels(
-                    node=node_id
-                ).inc(after_value - before_value)
-        prov = result.provenance
-        if prov is None:
-            prov = np.full(len(result), PROV_RESTORED, dtype=np.uint8)
-        counts = np.bincount(prov, minlength=max(_PROV_LABELS) + 1)
-        samples = registry.counter(
-            "repro_monitor_samples_total",
-            "Logged samples by provenance.", ("provenance",),
-        )
-        for code, label in _PROV_LABELS.items():
-            if counts[code]:
-                samples.labels(provenance=label).inc(int(counts[code]))
-        registry.histogram(
-            "repro_monitor_readings_per_run",
-            "Measured IM readings surviving per observed run.",
-            buckets=_READINGS_BUCKETS,
-        ).observe(int(counts[PROV_MEASURED]))
-        energy = registry.counter(
-            "repro_monitor_component_energy_joules_total",
-            "Attributed component energy by node (1 Sa/s: watts sum to "
-            "joules).",
-            ("node", "component"),
-        )
-        for component, series in result.components.items():
-            total = float(series.sum())
-            if total > 0.0:
-                energy.labels(node=node_id, component=component).inc(total)
+        with self.tracer.span("monitor.observe_run"):
+            fleet = FleetMonitor(self, chunk_size)
+            return fleet.observe_all({node_id: bundle}, online=online)[node_id]
 
     def adapt(self, node_id: str, bundle: TraceBundle) -> None:
         """Active-learning round on one node's unlabeled run (§4.1)."""
-        if node_id not in self._nodes:
-            raise ValidationError(f"unknown node {node_id!r}; register it first")
-        readings = self._nodes[node_id].sample(bundle)
+        readings = self.sensor(node_id).sample(bundle)
         self.model.active_learning([(bundle.pmcs.matrix, readings)])

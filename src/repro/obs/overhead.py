@@ -5,9 +5,11 @@ literature (Diamond et al. measure what RAPL tooling itself costs; the
 SmartWatts power meter exposes its own runtime telemetry), and HighRPM's
 operating point only makes sense if restoring a sample costs far less than
 the sampling period it fills. :class:`OverheadProfiler` is that
-meta-measurement for this reproduction: the service wraps every
-``observe_run`` in :meth:`measure`, and the profiler accumulates the
-monitor's own CPU seconds against the number of dense samples it restored.
+meta-measurement for this reproduction: the run driver
+(:class:`~repro.monitor.FleetMonitor`, which ``observe_run`` also uses)
+wraps every step — opening a run and every tick — in :meth:`measure`, and
+the profiler accumulates the monitor's own CPU seconds against the number
+of runs it finished and the dense samples they restored.
 
 The headline figure is the **budget fraction** — self seconds per restored
 sample divided by the sampling period (1 s at the paper's 1 Sa/s) — i.e.
@@ -32,12 +34,14 @@ DEFAULT_SAMPLE_PERIOD_S = 1.0
 
 class _Measurement:
     """Mutable handle yielded by :meth:`OverheadProfiler.measure`; the
-    caller fills in ``samples`` once it knows how many were restored."""
+    caller fills in ``samples`` once it knows how many were restored, and
+    ``runs`` when the block finished other than one run."""
 
-    __slots__ = ("samples",)
+    __slots__ = ("samples", "runs")
 
     def __init__(self) -> None:
         self.samples = 0
+        self.runs = 1
 
 
 class OverheadProfiler:
@@ -58,18 +62,22 @@ class OverheadProfiler:
 
     @contextmanager
     def measure(self):
-        """Time one monitored run; set ``.samples`` on the yielded handle."""
+        """Time one block of monitor work; set ``.samples`` (and ``.runs``)
+        on the yielded handle."""
         handle = _Measurement()
         start = self.clock() if self.clock is not None else None
         try:
             yield handle
         finally:
             seconds = self.clock() - start if start is not None else 0.0
-            self.record(handle.samples, seconds)
+            self._add(handle.runs, handle.samples, seconds)
 
     def record(self, samples: int, seconds: float) -> None:
         """Fold one run's (restored samples, self seconds) into the totals."""
-        self.runs += 1
+        self._add(1, samples, seconds)
+
+    def _add(self, runs: int, samples: int, seconds: float) -> None:
+        self.runs += int(runs)
         self.samples += int(samples)
         self.seconds += float(seconds)
         if self.registry is not None:

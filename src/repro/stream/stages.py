@@ -2,19 +2,22 @@
 
 A pipeline is an ordered list of stateless :class:`Stage` objects; all
 per-run state lives on the :class:`RunContext`, so one stage list can
-serve many interleaved runs (the fleet front-end drives one context per
-node through shared stages).
+serve many interleaved runs (the monitor's run driver,
+:class:`~repro.monitor.FleetMonitor`, steps one context per node through
+shared stages).
 
-Lifecycle per run: every stage's ``open_run`` fires in order, then each
-source chunk is pushed through ``process`` stage by stage, then stages are
-flushed in order (a flushed chunk still traverses the *downstream*
-stages), then every stage's ``close_run`` fires. ``process`` may return a
-chunk, a list of chunks, or None (absorbed — e.g. the static restorer
-holding samples back until its fusion window closes).
+Lifecycle per run: :meth:`StreamPipeline.open_run` fires every stage's
+``open_run`` in order, the driver then steps each source chunk through the
+stages with :meth:`StreamPipeline.apply`, and
+:meth:`StreamPipeline.close_run` fires every stage's ``close_run``.
+``process`` may return a chunk, a list of chunks, or None (absorbed — e.g.
+the static restorer holding samples back until its fusion window closes;
+it releases its tail with the source's ``final`` chunk, so nothing is
+left over once the source is exhausted).
 
-The driver wraps every stage callback in the stage's tracer span and
-counts chunks/samples entering each stage, so per-stage latency and
-throughput come for free in the ambient observability stack.
+The pipeline wraps every ``open_run`` and ``process`` call in the stage's
+tracer span and counts chunks/samples entering each stage, so per-stage
+latency and throughput come for free in the ambient observability stack.
 """
 
 from __future__ import annotations
@@ -55,16 +58,12 @@ class Stage:
         """Transform one chunk; return a chunk, a list of chunks, or None."""
         return chunk
 
-    def flush(self, ctx: RunContext):
-        """Emit any held-back chunks once the source is exhausted."""
-        return []
-
     def close_run(self, ctx: RunContext) -> None:
         """Run-scoped teardown (sinks end the run here)."""
 
 
 class StreamPipeline:
-    """Drives chunks through an ordered list of stages."""
+    """An ordered list of stages, stepped one stage per call."""
 
     def __init__(self, stages: "list[Stage]") -> None:
         self.stages = list(stages)
@@ -102,25 +101,8 @@ class StreamPipeline:
         with current_tracer().span(stage.span):
             return fn(*args)
 
-    def _push(self, ctx: RunContext, chunk: PowerChunk, i: int) -> "list[PowerChunk]":
-        """Send one chunk through stages ``i..end``; returns what survives."""
-        if i >= len(self.stages):
-            return [chunk]
-        stage = self.stages[i]
-        self._enter(stage, chunk)
-        emitted = self._timed(stage, stage.process, ctx, chunk)
-        if emitted is None:
-            return []
-        if isinstance(emitted, PowerChunk):
-            emitted = [emitted]
-        out: "list[PowerChunk]" = []
-        for c in emitted:
-            out.extend(self._push(ctx, c, i + 1))
-        return out
-
-    # Single-step entry points for external drivers (the fleet front-end
-    # interleaves many runs, pausing between stages to batch inference
-    # across them).
+    # The run driver interleaves many runs, pausing between stages to
+    # batch inference across them, so the pipeline exposes single steps.
     def open_run(self, ctx: RunContext) -> None:
         for stage in self.stages:
             self._timed(stage, stage.open_run, ctx)
@@ -137,17 +119,3 @@ class StreamPipeline:
         if emitted is None:
             return []
         return [emitted] if isinstance(emitted, PowerChunk) else list(emitted)
-
-    def run(self, ctx: RunContext, chunks) -> "list[PowerChunk]":
-        """Process a whole run; returns the fully-processed chunks in order."""
-        self.open_run(ctx)
-        out: "list[PowerChunk]" = []
-        for chunk in chunks:
-            out.extend(self._push(ctx, chunk, 0))
-        # Flush in stage order: a chunk released by stage j still traverses
-        # stages j+1..end before those stages flush themselves.
-        for j, stage in enumerate(self.stages):
-            for c in self._timed(stage, stage.flush, ctx) or []:
-                out.extend(self._push(ctx, c, j + 1))
-        self.close_run(ctx)
-        return out

@@ -13,9 +13,11 @@ import pytest
 from repro.errors import NotFittedError, ValidationError
 from repro.faults import FaultySensor, OutageWindow
 from repro.ml.tree import DecisionTreeRegressor
-from repro.monitor import FleetMonitor, PowerMonitorService
+from repro.monitor import FleetMonitor, PowerMonitorService, ResiliencePolicy
+from repro.obs import MetricsRegistry
 from repro.perf import CompiledTree, TreeStack, single_tree_of
 from repro.sensors import IPMISensor
+from repro.stream import Sink
 
 
 @pytest.fixture(scope="module")
@@ -83,11 +85,14 @@ class TestPredictBatched:
             SRR().predict_batched([])
 
 
-def _twin_services(chaos_reference, node_ids, dead=()):
+def _twin_services(chaos_reference, node_ids, dead=(), policy=None,
+                   sinks=None):
     reference, _ = chaos_reference
     services = []
     for _ in range(2):
-        svc = PowerMonitorService(reference.model, reference.spec)
+        svc = PowerMonitorService(reference.model, reference.spec,
+                                  policy=policy, registry=MetricsRegistry(),
+                                  sinks=sinks)
         for i, nid in enumerate(node_ids):
             if nid in dead:
                 svc.register_node(nid, sensor=FaultySensor(
@@ -103,21 +108,51 @@ def _twin_services(chaos_reference, node_ids, dead=()):
 class TestFleetMonitor:
     NODE_IDS = ("fl-a", "fl-b", "fl-c")
 
-    @pytest.mark.parametrize("online", [True, False],
-                             ids=["online", "offline"])
-    def test_fleet_equals_sequential_observe_run(self, chaos_reference, online):
+    @pytest.mark.parametrize(
+        "online, seq_chunk, strict_dead",
+        [(True, 16, None), (False, 16, None),
+         (True, None, None), (False, None, None),
+         (True, 16, "fl-b")],
+        ids=["online", "offline", "online-whole-run", "offline-whole-run",
+             "strict-dead-feed"],
+    )
+    def test_fleet_equals_sequential_observe_run(
+        self, chaos_reference, online, seq_chunk, strict_dead
+    ):
         _, bundle = chaos_reference
-        seq_svc, fleet_svc = _twin_services(chaos_reference, self.NODE_IDS)
-        seq = {
-            nid: seq_svc.observe_run(nid, bundle, online=online, chunk_size=16)
-            for nid in self.NODE_IDS
-        }
-        fleet = FleetMonitor(fleet_svc, chunk_size=16)
-        results = fleet.observe_all(
-            {nid: bundle for nid in self.NODE_IDS}, online=online
+        policy = ResiliencePolicy(degrade_to_model_only=False) \
+            if strict_dead else None
+        dead = {strict_dead} if strict_dead else set()
+        seq_svc, fleet_svc = _twin_services(
+            chaos_reference, self.NODE_IDS, dead=dead, policy=policy
         )
-        assert set(results) == set(self.NODE_IDS)
+        seq, seq_errors = {}, {}
         for nid in self.NODE_IDS:
+            try:
+                seq[nid] = seq_svc.observe_run(nid, bundle, online=online,
+                                               chunk_size=seq_chunk)
+            except Exception as exc:  # the strict dead feed raises
+                seq_errors[nid] = type(exc)
+        fleet = FleetMonitor(fleet_svc, chunk_size=16)
+        fleet_errors = {}
+        for nid in self.NODE_IDS:
+            try:
+                fleet.submit(nid, bundle, online=online)
+            except Exception as exc:
+                fleet_errors[nid] = type(exc)
+        results = fleet.observe_all([])
+        assert fleet_errors == seq_errors
+        assert set(seq_errors) == dead
+        assert set(results) == set(self.NODE_IDS) - dead
+        for nid in self.NODE_IDS:
+            for svc in (seq_svc, fleet_svc):
+                assert svc.registry.counter(
+                    "repro_monitor_failed_runs_total", "", ("node",)
+                ).labels(node=nid).value == (1.0 if nid in dead else 0.0)
+            assert seq_svc.health(nid).status == fleet_svc.health(nid).status
+            assert seq_svc.health(nid).outages == fleet_svc.health(nid).outages
+            if nid in dead:
+                continue
             np.testing.assert_array_equal(seq[nid].p_node, results[nid].p_node)
             np.testing.assert_array_equal(seq[nid].p_cpu, results[nid].p_cpu)
             np.testing.assert_array_equal(seq[nid].p_mem, results[nid].p_mem)
@@ -126,7 +161,45 @@ class TestFleetMonitor:
             assert seq[nid].mode == results[nid].mode
             np.testing.assert_array_equal(seq_svc.log(nid).p_node,
                                           fleet_svc.log(nid).p_node)
-            assert seq_svc.health(nid).status == fleet_svc.health(nid).status
+
+    def test_failed_tick_loses_only_the_runs_it_was_carrying(
+        self, chaos_reference
+    ):
+        class FailsOnSecondWrite(Sink):
+            def __init__(self) -> None:
+                self.writes = 0
+
+            def write(self, chunk) -> None:
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError("sink full")
+
+            def end_run(self, node_id, workload, mode) -> None:
+                pass
+
+        _, bundle = chaos_reference
+        _, svc = _twin_services(chaos_reference, self.NODE_IDS,
+                                sinks=[FailsOnSecondWrite()])
+        fleet = FleetMonitor(svc, chunk_size=16)
+        for nid in self.NODE_IDS:
+            fleet.submit(nid, bundle)
+        # fl-a's first chunk is written; fl-b's write raises; fl-c's
+        # restored chunk never reaches the sinks.
+        with pytest.raises(OSError, match="sink full"):
+            fleet.tick()
+        failed = svc.registry.counter(
+            "repro_monitor_failed_runs_total", "", ("node",)
+        )
+        assert [failed.labels(node=nid).value for nid in self.NODE_IDS] \
+            == [0.0, 1.0, 1.0]
+        assert fleet.active_nodes == ("fl-a",)
+        results = fleet.observe_all([])
+        assert set(results) == {"fl-a"}
+        assert len(results["fl-a"]) == len(bundle)
+        assert len(svc.log("fl-a")) == len(bundle)
+        assert failed.labels(node="fl-a").value == 0.0
+        # the lost runs never reach end-of-run bookkeeping
+        assert svc.health("fl-b").runs == svc.health("fl-c").runs == 0
 
     def test_dead_feed_node_degrades_without_poisoning_the_fleet(
         self, chaos_reference

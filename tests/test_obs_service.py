@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import PROV_MEASURED, PROV_MODEL_ONLY, PROV_RESTORED
 from repro.faults.inject import FaultySensor
+from repro.monitor import FleetMonitor
 from repro.obs import parse_prometheus, render_prometheus
 from repro.sensors.ipmi import IPMISensor
 
@@ -25,6 +26,13 @@ def _counter_value(registry, name, **labels) -> float:
         if sample_labels == labels:
             return child.value
     return 0.0
+
+
+def _step_seconds(service) -> float:
+    """Traced seconds inside the run driver's open and tick steps."""
+    stats = service.tracer.stats()
+    return sum(stats[name].total_s for name in ("fleet.submit", "fleet.tick")
+               if name in stats)
 
 
 @pytest.fixture()
@@ -86,17 +94,34 @@ class TestObserveRunMetrics:
             (result.provenance == PROV_MEASURED).sum()
         )
 
-    def test_profiler_prices_the_run(self, service_and_bundle):
+    @pytest.mark.parametrize("driver", ["observe_run", "fleet"])
+    def test_profiler_prices_the_run(self, service_and_bundle, driver):
         service, bundle = service_and_bundle
         runs_before = service.profiler.runs
         samples_before = service.profiler.samples
-        service.register_node("obs-profiled")
-        result = service.observe_run("obs-profiled", bundle)
-        assert service.profiler.runs == runs_before + 1
-        assert service.profiler.samples == samples_before + len(result)
-        # the service injects a real clock, so the run cost CPU time
+        seconds_before = service.profiler.seconds
+        steps_before = _step_seconds(service)
+        nodes = [f"obs-profiled-{driver}-{i}" for i in range(2)]
+        for node_id in nodes:
+            service.register_node(node_id)
+        if driver == "observe_run":
+            results = [service.observe_run(node_id, bundle, online=False,
+                                           chunk_size=16)
+                       for node_id in nodes]
+        else:
+            results = list(FleetMonitor(service, chunk_size=16).observe_all(
+                {node_id: bundle for node_id in nodes}, online=False
+            ).values())
+        assert service.profiler.runs == runs_before + len(nodes)
+        assert service.profiler.samples == \
+            samples_before + sum(len(r) for r in results)
+        # the service injects a real clock, so the runs cost CPU time, and
+        # the priced time covers every driver step on the same clock —
+        # opening the runs (sensor sampling, ResModel and spline fits) too.
         assert service.profiler.clocked
-        assert service.profiler.seconds > 0.0
+        spent = service.profiler.seconds - seconds_before
+        assert spent > 0.0
+        assert spent >= _step_seconds(service) - steps_before > 0.0
         report = service.profiler.report()
         assert report["budget_fraction"] == pytest.approx(
             report["seconds_per_sample"] / report["sample_period_s"]

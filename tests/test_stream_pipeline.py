@@ -52,22 +52,6 @@ class _Double(Stage):
         return chunk
 
 
-class _HoldOne(Stage):
-    """Toy stage with a one-chunk lag, flushed at end of run."""
-
-    name = "hold"
-
-    def open_run(self, ctx):
-        ctx.held = None
-
-    def process(self, ctx, chunk):
-        held, ctx.held = ctx.held, chunk
-        return held
-
-    def flush(self, ctx):
-        return [ctx.held] if ctx.held is not None else []
-
-
 class _Collect(Stage):
     name = "collect"
 
@@ -88,22 +72,28 @@ def _chunks(k, size=4):
     ]
 
 
+def _drive(pipe, ctx, chunks):
+    """Open the run, step every chunk through each stage with ``apply``,
+    close the run; returns the chunks that left the last stage."""
+    pipe.open_run(ctx)
+    out = []
+    for chunk in chunks:
+        alive = [chunk]
+        for i in range(len(pipe.stages)):
+            alive = [c2 for c in alive for c2 in pipe.apply(ctx, c, i)]
+        out.extend(alive)
+    pipe.close_run(ctx)
+    return out
+
+
 class TestStreamPipeline:
     def test_chunks_traverse_stages_in_order(self):
         pipe = StreamPipeline([_Double(), _Collect()])
         ctx = RunContext("n", "w", 12)
-        out = pipe.run(ctx, _chunks(3))
+        out = _drive(pipe, ctx, _chunks(3))
         assert [c.seq for c in out] == [0, 1, 2]
         assert all(np.all(c.p_node == 2.0 * (c.seq + 1)) for c in out)
         assert ctx.collected == out
-
-    def test_flushed_chunks_traverse_downstream_stages(self):
-        # The held-back final chunk must still pass through _Double, which
-        # sits *after* the holding stage.
-        pipe = StreamPipeline([_HoldOne(), _Double()])
-        out = pipe.run(RunContext("n", "w", 12), _chunks(3))
-        assert [c.seq for c in out] == [0, 1, 2]
-        assert all(np.all(c.p_node == 2.0 * (c.seq + 1)) for c in out)
 
     def test_absorbed_chunk_stops_descending(self):
         class Absorb(Stage):
@@ -114,13 +104,14 @@ class TestStreamPipeline:
 
         pipe = StreamPipeline([Absorb(), _Collect()])
         ctx = RunContext("n", "w", 8)
-        assert pipe.run(ctx, _chunks(2)) == []
+        assert _drive(pipe, ctx, _chunks(2)) == []
         assert ctx.collected == []
 
     def test_stage_metrics_count_chunks_and_samples(self):
         registry = MetricsRegistry()
         with use_registry(registry):
-            StreamPipeline([_Double()]).run(RunContext("n", "w", 12), _chunks(3))
+            _drive(StreamPipeline([_Double()]), RunContext("n", "w", 12),
+                   _chunks(3))
         chunks = registry.counter(
             "repro_stream_chunks_total", "", ("stage",)
         ).labels(stage="double")
@@ -136,22 +127,6 @@ class TestStreamPipeline:
         [chunk] = _chunks(1)
         emitted = pipe.apply(ctx, chunk, 0)
         assert len(emitted) == 1 and np.all(emitted[0].p_node == 2.0)
-
-    def test_run_equals_stepwise_apply(self):
-        whole = StreamPipeline([_HoldOne(), _Double()])
-        out_a = whole.run(RunContext("n", "w", 12), _chunks(3))
-        step = StreamPipeline([_HoldOne(), _Double()])
-        ctx = RunContext("n", "w", 12)
-        step.open_run(ctx)
-        out_b = []
-        for chunk in _chunks(3):
-            for c in step.apply(ctx, chunk, 0):
-                out_b.extend(step.apply(ctx, c, 1))
-        for j, stage in enumerate(step.stages):
-            for c in stage.flush(ctx):
-                out_b.extend(step._push(ctx, c, j + 1))
-        step.close_run(ctx)
-        assert [c.seq for c in out_a] == [c.seq for c in out_b]
 
 
 class TestJsonlSink:
