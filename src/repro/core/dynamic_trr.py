@@ -17,6 +17,11 @@ programs, whereas absolute PMC→power mappings do not.
 Whenever a real reading arrives, the model is fine-tuned on a replay
 buffer of recent measured windows (the paper's < 2 s online adjustment) at
 a reduced learning rate — gentle enough not to erase offline training.
+A reading hands back that fine-tune as a :class:`FineTuneJob`: a session
+running on its own trains each job alone, while a fleet advances many
+sessions to their next reading in lockstep and trains their jobs together
+— both through :func:`run_fine_tunes`, one BPTT stack per (buffer length,
+step budget), bitwise equal per node to training each alone.
 """
 
 from __future__ import annotations
@@ -27,13 +32,52 @@ from collections import deque
 import numpy as np
 
 from ..errors import NotFittedError, ValidationError
-from ..ml.recurrent import LSTMRegressor
+from ..ml.recurrent import LSTMRegressor, partial_fit_stack
 from ..obs import current_tracer, get_registry
 from ..perf import compile_lstm
 from ..sensors.base import SparseReadings
 from ..utils.validation import check_2d
 from .config import HighRPMConfig
 from .dataset import build_anchor_windows
+
+
+class FineTuneJob:
+    """One replay-buffer fine-tune a reading asked for:
+    ``model.partial_fit(X, y, n_steps)``, not yet run (see
+    :func:`run_fine_tunes`).
+
+    Jobs with equal :attr:`key` — same network shape, buffer length and
+    step budget — can train as one stack."""
+
+    __slots__ = ("model", "X", "y", "n_steps")
+
+    def __init__(self, model: LSTMRegressor, X: np.ndarray, y: np.ndarray,
+                 n_steps: int) -> None:
+        self.model = model
+        self.X = X
+        self.y = y
+        self.n_steps = int(n_steps)
+
+    @property
+    def key(self) -> tuple:
+        m = self.model
+        return (type(m), m.hidden_size, m.num_layers, m.batch_size,
+                self.X.shape, self.n_steps)
+
+
+def run_fine_tunes(jobs) -> None:
+    """Train ``jobs`` as one stack per :attr:`FineTuneJob.key`; every
+    model ends bitwise where its own ``partial_fit`` would leave it. Each
+    stack is one ``trr.finetune`` span."""
+    groups: "dict[tuple, list[FineTuneJob]]" = {}
+    for job in jobs:
+        groups.setdefault(job.key, []).append(job)
+    for group in groups.values():
+        with current_tracer().span("trr.finetune"):
+            partial_fit_stack(
+                [job.model for job in group], [job.X for job in group],
+                [job.y for job in group], n_steps=group[0].n_steps,
+            )
 
 
 class OnlineTRRSession:
@@ -53,6 +97,8 @@ class OnlineTRRSession:
     def __init__(self, trr: "DynamicTRR", retain: bool = True) -> None:
         self._trr = trr
         self._model = copy.deepcopy(trr.model_)
+        # The copy only ever fine-tunes, always at the reduced rate.
+        self._model.lr = trr.finetune_lr
         # Session state is bounded: the window only ever looks back
         # ``miss_interval`` steps, so the feature deques drop older rows.
         w = trr.config.miss_interval
@@ -99,9 +145,10 @@ class OnlineTRRSession:
             rows.insert(0, rows[0])
         return np.asarray(rows)[None, :, :]
 
-    def _fine_tune(self, X: np.ndarray, deviation: float, boost: int = 1) -> None:
-        """Replay-buffer fine-tuning when a reading lands."""
-        trr = self._trr
+    def _fine_tune_job(self, X: np.ndarray, deviation: float,
+                       boost: int = 1) -> FineTuneJob:
+        """Add a reading's window to the replay buffer; return the
+        fine-tune on the buffer that the reading asks for."""
         w = X.shape[1]
         labels = np.full((1, w), np.nan)
         labels[0, -1] = deviation
@@ -110,27 +157,21 @@ class OnlineTRRSession:
         if len(self._buffer_X) > self.BUFFER_CAP:
             self._buffer_X.pop(0)
             self._buffer_y.pop(0)
-        bx = np.stack(self._buffer_X)
-        by = np.stack(self._buffer_y)
-        old_lr = self._model.lr
-        self._model.lr = trr.finetune_lr
         get_registry().counter(
             "repro_online_finetune_total",
             "Online fine-tune rounds by trigger.", ("kind",),
         ).labels(kind="resync" if boost > 1 else "regular").inc()
-        try:
-            with current_tracer().span("trr.finetune"):
-                self._model.partial_fit(
-                    bx, by, n_steps=int(boost) * trr.config.finetune_steps
-                )
-        finally:
-            self._model.lr = old_lr
-        # partial_fit mutated the parameters the kernel folded — rebuild
-        # lazily on the next forecast.
+        # The job mutates the parameters the kernel folded — rebuild lazily
+        # on the next forecast, which comes after the job has run.
         self._kernel = None
+        return FineTuneJob(
+            self._model, np.stack(self._buffer_X), np.stack(self._buffer_y),
+            int(boost) * self._trr.config.finetune_steps,
+        )
 
-    def _reading_step(self, pmc_row: np.ndarray, value: float) -> float:
-        """Consume one measured second: anchor, fine-tune, re-sync check."""
+    def _reading_step(self, pmc_row: np.ndarray, value: float) -> FineTuneJob:
+        """Consume one measured second: anchor and re-sync check. Returns
+        the fine-tune job, which must run before the next forecast."""
         trr = self._trr
         t = self._t
         self._pmcs.append(pmc_row)
@@ -153,16 +194,15 @@ class OnlineTRRSession:
         # the deviation of this reading from the previous anchor, which
         # is exactly what the model predicts at gap-end positions.
         self._hold.append(prev_hold)
-        X = self._window(t)
-        self._fine_tune(X, value - prev_hold,
-                        boost=self.RESYNC_BOOST if recovered else 1)
+        job = self._fine_tune_job(self._window(t), value - prev_hold,
+                                  boost=self.RESYNC_BOOST if recovered else 1)
         self._hold[-1] = value  # future windows hold the new reading
         self._last_reading_t = t
         self._t = t + 1
         if self._retain:
             self._measured_mask.append(True)
             self._estimates.append(value)
-        return value
+        return job
 
     def _segment_rows(self, pmcs_seg: np.ndarray, prev_hold: float) -> np.ndarray:
         """Distinct feature rows covering a segment's sliding windows.
@@ -234,10 +274,67 @@ class OnlineTRRSession:
                 f"expected {trr.n_pmcs_} PMCs per row, got {pmc_row.shape[0]}"
             )
         if im_reading is not None:
-            return self._reading_step(pmc_row, float(im_reading))
+            value = float(im_reading)
+            if not np.isfinite(value):
+                raise ValidationError(f"IM reading must be finite, got {value}")
+            run_fine_tunes([self._reading_step(pmc_row, value)])
+            return value
         # Forecasts route through the same segment kernel as run_chunk
         # (a segment of one), so both entry points produce identical bits.
         return float(self._forecast_segment(pmc_row[None, :])[0])
+
+    def chunk_steps(
+        self, pmcs: np.ndarray, readings: "SparseReadings | None",
+        out: np.ndarray,
+    ):
+        """The chunk step behind :meth:`run_chunk`, paused at each reading.
+
+        Validates the chunk, then returns a generator that writes the
+        chunk's estimates into ``out`` and yields, at each reading inside
+        the chunk's span, the :class:`FineTuneJob` it asks for. The caller
+        runs each job — alone, or stacked with other sessions' jobs by
+        :func:`run_fine_tunes` — before resuming; ``out`` is complete once
+        the generator is exhausted.
+        """
+        trr = self._trr
+        pmcs = check_2d(pmcs, "pmcs")
+        if pmcs.shape[1] != trr.n_pmcs_:
+            raise ValidationError(
+                f"expected {trr.n_pmcs_} PMCs per row, got {pmcs.shape[1]}"
+            )
+        pmcs = np.ascontiguousarray(pmcs, dtype=np.float64)
+        start = self._t
+        n = pmcs.shape[0]
+        if out.shape != (n,):
+            raise ValidationError(f"out must have shape ({n},), got {out.shape}")
+        if readings is None:
+            r_pos = r_val = ()
+        else:
+            lo = int(np.searchsorted(readings.indices, start, side="left"))
+            hi = int(np.searchsorted(readings.indices, start + n, side="left"))
+            values = readings.values[lo:hi]
+            if not np.isfinite(values).all():
+                raise ValidationError(
+                    "IM readings must be finite; the chunk starting at "
+                    f"t={start} holds {values[~np.isfinite(values)][0]}"
+                )
+            r_pos = (readings.indices[lo:hi] - start).tolist()
+            r_val = values.tolist()
+        return self._steps(pmcs, r_pos, r_val, out)
+
+    def _steps(self, pmcs, r_pos, r_val, out):
+        # Segment the chunk at reading instants: each inter-reading run of
+        # forecasts is one batched kernel call; each reading keeps the
+        # sequential anchor/fine-tune semantics.
+        k = 0
+        for pos, val in zip(r_pos, r_val):
+            if pos > k:
+                out[k:pos] = self._forecast_segment(pmcs[k:pos])
+            out[pos] = val
+            yield self._reading_step(pmcs[pos], val)
+            k = pos + 1
+        if k < pmcs.shape[0]:
+            out[k:] = self._forecast_segment(pmcs[k:])
 
     def run_chunk(
         self, pmcs: np.ndarray, readings: "SparseReadings | None" = None
@@ -249,35 +346,11 @@ class OnlineTRRSession:
         in order — the concatenated outputs are bit-identical to one
         :meth:`run` over the whole trace.
         """
-        trr = self._trr
-        pmcs = check_2d(pmcs, "pmcs")
-        if pmcs.shape[1] != trr.n_pmcs_:
-            raise ValidationError(
-                f"expected {trr.n_pmcs_} PMCs per row, got {pmcs.shape[1]}"
-            )
-        pmcs = np.ascontiguousarray(pmcs, dtype=np.float64)
-        start = self._t
-        n = pmcs.shape[0]
-        if readings is None:
-            r_pos = r_val = ()
-        else:
-            lo = int(np.searchsorted(readings.indices, start, side="left"))
-            hi = int(np.searchsorted(readings.indices, start + n, side="left"))
-            r_pos = (readings.indices[lo:hi] - start).tolist()
-            r_val = readings.values[lo:hi].tolist()
-        out = np.empty(n)
+        out = np.empty(check_2d(pmcs, "pmcs").shape[0])
+        steps = self.chunk_steps(pmcs, readings, out)
         with current_tracer().span("trr.dynamic"):
-            # Segment the chunk at reading instants: each inter-reading run
-            # of forecasts is one batched kernel call; each reading keeps
-            # the sequential anchor/fine-tune semantics.
-            k = 0
-            for pos, val in zip(r_pos, r_val):
-                if pos > k:
-                    out[k:pos] = self._forecast_segment(pmcs[k:pos])
-                out[pos] = self._reading_step(pmcs[pos], float(val))
-                k = pos + 1
-            if k < n:
-                out[k:] = self._forecast_segment(pmcs[k:])
+            for job in steps:
+                run_fine_tunes([job])
         return out
 
     def run(self, pmcs: np.ndarray, readings: "SparseReadings | None") -> np.ndarray:

@@ -12,14 +12,18 @@ layer:
   :class:`~repro.perf.TreeStack` frontier descents over every node's
   pending chunk — one stack per PMC width, so CPU trees (10 counter
   columns) and GPU trees (16) each batch among themselves;
+* dynamic runs' chunks advance in lockstep from one IM reading to the
+  next, and the online fine-tunes those readings ask for train as one
+  BPTT stack per (buffer length, step budget) instead of once per node;
 * each device class's attribution head maps every member node's restored
   chunk in one concatenated forward pass (two-way SRR for CPU classes,
   three-way GPUSRR for accelerated ones).
 
-Both batched paths are bit-identical per node to per-chunk prediction
-(the compiled predictors are batch-size independent), and a group of one
-falls back to it, so fleet results equal single-node results exactly —
-including on heterogeneous fleets.
+The batched paths are bit-identical per node to per-chunk restoration
+(the compiled predictors are batch-size independent, and the stacked
+trainer leaves each node's model where its own fine-tunes would), and a
+group of one falls back to it, so fleet results equal single-node results
+exactly — including on heterogeneous fleets.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from ..core.dynamic_trr import run_fine_tunes
 from ..core.highrpm import (
     PROV_MEASURED,
     PROV_MODEL_ONLY,
@@ -183,6 +188,7 @@ class FleetMonitor:
                           for c2 in pipeline.apply(run.ctx, c, i)]
             pending.extend((run, c) for c in chunks)
         self._batch_residuals(pending)
+        self._batch_online(pending)
         restored = []
         for run, chunk in pending:
             for c in pipeline.apply(run.ctx, chunk, self._restore_i):
@@ -229,6 +235,33 @@ class FleetMonitor:
             parts = stack.predict([chunk.pmcs for _, chunk, _ in batchable])
             for (_, chunk, _), residual_hat in zip(batchable, parts):
                 chunk.residual_hat = residual_hat
+
+    def _batch_online(self, pending) -> None:
+        """Pre-fill dynamic chunks' restored node power, training the
+        fleet's fine-tunes as node stacks (the restore stage then skips its
+        own session call).
+
+        Every dynamic run's chunk step advances in lockstep: each round
+        moves every session to its next IM reading (forecasting the seconds
+        before it) and collects the fine-tune job the reading hands back;
+        the round's jobs then train as one stack per (buffer length, step
+        budget) before every session resumes."""
+        todo = [(run, chunk) for run, chunk in pending
+                if run.ctx.mode == "dynamic" and chunk.p_node is None]
+        if len(todo) < 2:
+            return  # nothing to stack; the session's own run_chunk is identical
+        with self.service.tracer.span("monitor.restore"), \
+                self.service.tracer.span("trr.dynamic"):
+            steppers = []
+            for run, chunk in todo:
+                chunk.p_node = np.empty(chunk.n_samples)
+                steppers.append(run.ctx.restorer.chunk_steps(
+                    chunk.pmcs, run.ctx.readings, chunk.p_node
+                ))
+            while steppers:
+                jobs = [next(steps, None) for steps in steppers]
+                steppers = [s for s, job in zip(steppers, jobs) if job is not None]
+                run_fine_tunes([job for job in jobs if job is not None])
 
     def _batch_attribution(self, restored) -> None:
         """Pre-fill component splits with one forward per attribution head.

@@ -277,8 +277,9 @@ class RestoreStage(Stage):
     def process(self, ctx: ObservationContext, chunk: PowerChunk):
         if ctx.mode == "static":
             return self._static(ctx, chunk)
-        readings = ctx.readings if ctx.mode == "dynamic" else None
-        chunk.p_node = ctx.restorer.run_chunk(chunk.pmcs, readings)
+        if chunk.p_node is None:  # the fleet front-end pre-fills in stacks
+            readings = ctx.readings if ctx.mode == "dynamic" else None
+            chunk.p_node = ctx.restorer.run_chunk(chunk.pmcs, readings)
         chunk.mode = ctx.mode
         chunk.provenance = self._provenance(ctx, chunk.start, chunk.stop)
         return chunk

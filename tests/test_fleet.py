@@ -7,13 +7,17 @@ batch-size independent, so fusing work across nodes changes cost, never
 values.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from repro.errors import NotFittedError, ValidationError
+from repro.core.dynamic_trr import run_fine_tunes
+from repro.errors import ConvergenceError, NotFittedError, ValidationError
 from repro.faults import FaultySensor, OutageWindow
 from repro.ml.tree import DecisionTreeRegressor
 from repro.monitor import FleetMonitor, PowerMonitorService, ResiliencePolicy
+from repro.monitor import fleet as fleet_module
 from repro.obs import MetricsRegistry
 from repro.perf import CompiledTree, TreeStack, single_tree_of
 from repro.sensors import IPMISensor
@@ -86,8 +90,11 @@ class TestPredictBatched:
 
 
 def _twin_services(chaos_reference, node_ids, dead=(), policy=None,
-                   sinks=None):
+                   sinks=None, outages=None):
+    """Two identical services; ``dead`` nodes' feeds never answer and
+    ``outages`` maps a node to the window its feed goes silent in."""
     reference, _ = chaos_reference
+    outages = outages or {}
     services = []
     for _ in range(2):
         svc = PowerMonitorService(reference.model, reference.spec,
@@ -99,59 +106,98 @@ def _twin_services(chaos_reference, node_ids, dead=(), policy=None,
                     IPMISensor(reference.spec, seed=41),
                     faults=[OutageWindow(0, 10_000_000)], seed=42,
                 ))
+            elif nid in outages:
+                svc.register_node(nid, sensor=FaultySensor(
+                    IPMISensor(reference.spec, seed=400 + i),
+                    faults=[outages[nid]], seed=43,
+                ))
             else:
                 svc.register_node(nid, seed=400 + i)
         services.append(svc)
     return services
 
 
+def _online_counts(svc) -> tuple:
+    """The service's online fine-tune and re-sync counters."""
+    finetunes = svc.registry.counter(
+        "repro_online_finetune_total", "", ("kind",)
+    )
+    return (finetunes.labels(kind="regular").value,
+            finetunes.labels(kind="resync").value,
+            svc.registry.counter("repro_online_resyncs_total", "").value)
+
+
 class TestFleetMonitor:
     NODE_IDS = ("fl-a", "fl-b", "fl-c")
+    #: the mixed-stack fleet: fl-b's feed is dead (model-only), fl-c's goes
+    #: silent mid-run and recovers, the rest read on their own seeds.
+    STACK_IDS = ("fl-a", "fl-b", "fl-c", "fl-d", "fl-e")
 
     @pytest.mark.parametrize(
-        "online, seq_chunk, strict_dead",
-        [(True, 16, None), (False, 16, None),
-         (True, None, None), (False, None, None),
-         (True, 16, "fl-b")],
+        "online, seq_chunk, strict_dead, mixed",
+        [(True, 16, None, False), (False, 16, None, False),
+         (True, None, None, False), (False, None, None, False),
+         (True, 16, "fl-b", False), (True, 16, None, True)],
         ids=["online", "offline", "online-whole-run", "offline-whole-run",
-             "strict-dead-feed"],
+             "strict-dead-feed", "online-mixed-stacks"],
     )
     def test_fleet_equals_sequential_observe_run(
-        self, chaos_reference, online, seq_chunk, strict_dead
+        self, chaos_reference, monkeypatch, online, seq_chunk, strict_dead,
+        mixed,
     ):
         _, bundle = chaos_reference
         policy = ResiliencePolicy(degrade_to_model_only=False) \
             if strict_dead else None
-        dead = {strict_dead} if strict_dead else set()
+        node_ids = self.STACK_IDS if mixed else self.NODE_IDS
+        failing = {strict_dead} if strict_dead else set()
         seq_svc, fleet_svc = _twin_services(
-            chaos_reference, self.NODE_IDS, dead=dead, policy=policy
+            chaos_reference, node_ids, policy=policy,
+            dead=failing | ({"fl-b"} if mixed else set()),
+            outages={"fl-c": OutageWindow(40, 40)} if mixed else None,
         )
+        # Record how each tick's fine-tunes split into stacks.
+        rounds = []
+
+        def spy(jobs):
+            rounds.append(Counter(job.key for job in jobs))
+            run_fine_tunes(jobs)
+
+        monkeypatch.setattr(fleet_module, "run_fine_tunes", spy)
         seq, seq_errors = {}, {}
-        for nid in self.NODE_IDS:
+        for nid in node_ids:
             try:
                 seq[nid] = seq_svc.observe_run(nid, bundle, online=online,
                                                chunk_size=seq_chunk)
             except Exception as exc:  # the strict dead feed raises
                 seq_errors[nid] = type(exc)
+        rounds.clear()  # a fleet of one has nothing to stack
         fleet = FleetMonitor(fleet_svc, chunk_size=16)
         fleet_errors = {}
-        for nid in self.NODE_IDS:
+        for nid in node_ids:
             try:
                 fleet.submit(nid, bundle, online=online)
             except Exception as exc:
                 fleet_errors[nid] = type(exc)
         results = fleet.observe_all([])
         assert fleet_errors == seq_errors
-        assert set(seq_errors) == dead
-        assert set(results) == set(self.NODE_IDS) - dead
-        for nid in self.NODE_IDS:
+        assert set(seq_errors) == failing
+        assert set(results) == set(node_ids) - failing
+        assert _online_counts(seq_svc) == _online_counts(fleet_svc)
+        if mixed:
+            assert results["fl-b"].mode == "model_only"
+            assert _online_counts(fleet_svc)[1:] == (1.0, 1.0)  # fl-c's recovery
+            # Some round trained a stack of several nodes beside a stack
+            # with another buffer length or step budget.
+            assert any(len(keys) >= 2 and max(keys.values()) >= 2
+                       for keys in rounds)
+        for nid in node_ids:
             for svc in (seq_svc, fleet_svc):
                 assert svc.registry.counter(
                     "repro_monitor_failed_runs_total", "", ("node",)
-                ).labels(node=nid).value == (1.0 if nid in dead else 0.0)
+                ).labels(node=nid).value == (1.0 if nid in failing else 0.0)
             assert seq_svc.health(nid).status == fleet_svc.health(nid).status
             assert seq_svc.health(nid).outages == fleet_svc.health(nid).outages
-            if nid in dead:
+            if nid in failing:
                 continue
             np.testing.assert_array_equal(seq[nid].p_node, results[nid].p_node)
             np.testing.assert_array_equal(seq[nid].p_cpu, results[nid].p_cpu)
@@ -200,6 +246,36 @@ class TestFleetMonitor:
         assert failed.labels(node="fl-a").value == 0.0
         # the lost runs never reach end-of-run bookkeeping
         assert svc.health("fl-b").runs == svc.health("fl-c").runs == 0
+
+    def test_failed_stacked_fine_tune_loses_only_the_runs_its_tick_carried(
+        self, chaos_reference
+    ):
+        _, bundle = chaos_reference
+        short = bundle.slice(0, 16)  # one chunk: finishes on the first tick
+        _, svc = _twin_services(chaos_reference, self.NODE_IDS + ("fl-s",))
+        fleet = FleetMonitor(svc, chunk_size=16)
+        for nid in self.NODE_IDS:
+            fleet.submit(nid, bundle)
+        fleet.submit("fl-s", short)
+        first = fleet.tick()
+        assert set(first) == {"fl-s"} and len(first["fl-s"]) == len(short)
+        # Poison fl-a's private model: its next fine-tune diverges, and the
+        # stack it trains in raises for every node of the tick.
+        fleet._runs["fl-a"].ctx.restorer._model.head_w_[:] = np.nan
+        with pytest.raises(ConvergenceError, match="diverged"):
+            while fleet.active_nodes:
+                fleet.tick()
+        failed = svc.registry.counter(
+            "repro_monitor_failed_runs_total", "", ("node",)
+        )
+        assert [failed.labels(node=nid).value for nid in self.NODE_IDS] \
+            == [1.0, 1.0, 1.0]
+        assert failed.labels(node="fl-s").value == 0.0
+        assert fleet.active_nodes == ()
+        assert all(svc.health(nid).runs == 0 for nid in self.NODE_IDS)
+        # The fleet keeps serving: a fresh run restores the whole bundle.
+        again = fleet.observe_all({"fl-b": bundle})
+        assert len(again["fl-b"]) == len(bundle)
 
     def test_dead_feed_node_degrades_without_poisoning_the_fleet(
         self, chaos_reference

@@ -51,6 +51,19 @@ class TestRecurrentCommon:
         with pytest.raises(ValidationError):
             cls().fit(np.ones((10, 4, 2)), np.ones(7))
 
+    @pytest.mark.parametrize("bad", [
+        dict(batch_size=0), dict(batch_size=-3), dict(lr=0.0), dict(lr=-1e-3),
+        dict(lr=np.nan), dict(clip=0.0), dict(clip=-5.0), dict(alpha=-1e-6),
+    ], ids=lambda kw: "{}={}".format(*next(iter(kw.items()))))
+    def test_rejects_bad_hyperparameters(self, cls, bad):
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            cls(**bad)
+
+    def test_accepts_zero_alpha(self, cls, cumsum_sequences):
+        X, Y = cumsum_sequences
+        m = cls(hidden_size=4, num_layers=1, max_iter=3, alpha=0.0).fit(X[:8], Y[:8])
+        assert np.isfinite(m.loss_curve_).all()
+
     def test_predict_before_fit(self, cls):
         with pytest.raises(NotFittedError):
             cls().predict(np.ones((1, 4, 2)))

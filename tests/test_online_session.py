@@ -1,10 +1,13 @@
 """Fine-grained tests for the DynamicTRR online session mechanics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import DynamicTRR, HighRPMConfig
 from repro.core.dynamic_trr import OnlineTRRSession
+from repro.errors import ValidationError
 from repro.hardware import ARM_PLATFORM
 from repro.sensors import IPMISensor
 
@@ -81,3 +84,32 @@ class TestSessionMechanics:
         readings = sensor.sample(small_bundle)
         p = dyn.restore(small_bundle.pmcs.matrix, readings)
         assert np.isfinite(p).all()
+
+
+class TestNonFiniteReadings:
+    """A NaN or infinite IM reading is rejected at the session boundary
+    instead of becoming an estimate and the hold channel's anchor."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_step_rejects_non_finite_reading(self, dyn, small_bundle, bad):
+        session = dyn.session()
+        session.step(small_bundle.pmcs.matrix[0], im_reading=90.0)
+        with pytest.raises(ValidationError, match="finite"):
+            session.step(small_bundle.pmcs.matrix[1], im_reading=bad)
+        # Nothing was consumed: the session still holds the last reading.
+        assert session.t == 1
+        assert session._hold[-1] == 90.0
+
+    def test_run_chunk_rejects_non_finite_reading_in_its_span(
+        self, dyn, small_bundle, ipmi_readings
+    ):
+        values = ipmi_readings.values.copy()
+        values[3] = np.nan
+        bad = replace(ipmi_readings, values=values)
+        pmcs = small_bundle.pmcs.matrix
+        cut = int(ipmi_readings.indices[3])
+        session = dyn.session()
+        session.run_chunk(pmcs[:cut], bad)  # the NaN lies past this chunk
+        with pytest.raises(ValidationError, match="finite"):
+            session.run_chunk(pmcs[cut:cut + 20], bad)
+        assert session.t == cut
