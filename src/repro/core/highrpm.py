@@ -250,10 +250,8 @@ class HighRPM:
         self, pmcs: np.ndarray, readings: SparseReadings
     ) -> MonitorResult:
         """Historical-log analysis: StaticTRR + SRR."""
-        self._require_fitted()
         pmcs = check_2d(pmcs, "pmcs")
-        static = StaticTRR(self.config, p_upper=self.p_upper, p_bottom=self.p_bottom)
-        p_node = static.fit_restore(pmcs, readings).p_trr
+        p_node = self.static_trr().fit_restore(pmcs, readings).p_trr
         p_cpu, p_mem = self.srr.predict(pmcs, p_node)
         return MonitorResult(
             p_node=p_node, p_cpu=p_cpu, p_mem=p_mem, mode="static",
@@ -301,10 +299,15 @@ class HighRPM:
         outputs concatenate bit-identically to :meth:`monitor_offline`'s
         ``p_node``.
         """
-        self._require_fitted()
         pmcs_rows = check_2d(pmcs_rows, "pmcs_rows")
-        static = StaticTRR(self.config, p_upper=self.p_upper, p_bottom=self.p_bottom)
-        return static.fit_stream(pmcs_rows, readings)
+        return self.static_trr().fit_stream(pmcs_rows, readings)
+
+    def static_trr(self) -> StaticTRR:
+        """A fresh, unfitted per-run StaticTRR under this model's config and
+        power limits (:func:`~repro.core.static_trr.fit_streams` fits many
+        of them at once)."""
+        self._require_fitted()
+        return StaticTRR(self.config, p_upper=self.p_upper, p_bottom=self.p_bottom)
 
     def online_session(self, retain: bool = False) -> "OnlineTRRSession":
         """A fresh bounded-memory DynamicTRR session for chunked feeding."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
-from ..interp.spline import CubicSplineInterpolator
+from ..interp.spline import CubicSplineInterpolator, fit_stack, predict_stack
 from ..ml.tree import DecisionTreeRegressor
 from ..obs import current_tracer
 from ..perf import precompile
@@ -100,44 +100,6 @@ class StaticTRR:
             raise ValidationError(f"invalid power limits: [{lo}, {hi}]")
         return float(lo), float(hi)
 
-    def _fit_models(self, pmcs_rows: np.ndarray, readings: SparseReadings) -> None:
-        """Fit the spline and ResModel from the readings and the PMC rows at
-        the reading instants (steps 1 and 2 minus the dense predictions)."""
-        idx = readings.indices
-        vals = readings.values
-        self._lo, self._hi = self._limits(readings)
-        tracer = current_tracer()
-
-        # Step 1: trend from all readings.
-        with tracer.span("trr.spline"):
-            self.spline_ = self._trend_factory().fit(idx.astype(float), vals)
-
-        # Step 2: cross-fitted residual targets at the labeled points.
-        with tracer.span("trr.resmodel"):
-            residual_targets = np.empty(len(readings))
-            for fold in (0, 1):
-                train_sel = np.arange(len(readings)) % 2 == fold
-                # Guard the degenerate two-knot minimum.
-                if train_sel.sum() < 2:
-                    train_sel = np.ones(len(readings), dtype=bool)
-                fold_spline = self._trend_factory().fit(
-                    idx[train_sel].astype(float), vals[train_sel]
-                )
-                out_sel = ~train_sel if train_sel.sum() < len(readings) else train_sel
-                residual_targets[out_sel] = vals[out_sel] - fold_spline.predict(
-                    idx[out_sel].astype(float)
-                )
-            if not self.config.residual_signed:
-                residual_targets = np.abs(residual_targets)
-
-            self.res_model_ = self._res_model_factory()
-            self.res_model_.fit(pmcs_rows, residual_targets)
-            # Flatten the freshly fitted ResModel eagerly: the dense
-            # prediction (and any later re-restore) runs over whole traces or
-            # fleet-stacked chunks, exactly the batch shapes the compiled
-            # descent is built for.
-            precompile(self.res_model_)
-
     def _check_trace(self, readings: SparseReadings, n: int) -> None:
         if readings.n_dense != n:
             raise ValidationError(
@@ -155,7 +117,7 @@ class StaticTRR:
         self._check_trace(readings, n)
         idx = readings.indices
         vals = readings.values
-        self._fit_models(pmcs[idx], readings)
+        _fit_all([self], [pmcs[idx]], [readings])
         t_all = np.arange(n, dtype=np.float64)
         tracer = current_tracer()
 
@@ -236,14 +198,105 @@ class StaticTRR:
         same trace.
         """
         pmcs_rows = check_2d(pmcs_rows, "pmcs_rows")
+        return fit_streams([self], [pmcs_rows], [readings])[0]
+
+    def _check_stream_inputs(self, pmcs_rows, readings: SparseReadings
+                             ) -> np.ndarray:
+        pmcs_rows = check_2d(pmcs_rows, "pmcs_rows")
         self._check_trace(readings, int(readings.n_dense))
         if pmcs_rows.shape[0] != len(readings):
             raise ValidationError(
                 f"fit_stream needs one PMC row per reading: got "
                 f"{pmcs_rows.shape[0]} rows for {len(readings)} readings"
             )
-        self._fit_models(pmcs_rows, readings)
-        return StaticTRRStream(self, readings)
+        return pmcs_rows
+
+
+def fit_streams(trrs, pmcs_rows, readings) -> "list[StaticTRRStream]":
+    """:meth:`StaticTRR.fit_stream` for many runs in one pass.
+
+    ``trrs``, ``pmcs_rows`` and ``readings`` are parallel sequences, one
+    entry per run. Every run's default spline trend and its two cross-fit
+    fold splines fit as one stack per knot count, and the fold splines are
+    evaluated at their held-out knots in one pass; each run's ResModel
+    still fits on its own. Each returned stream is bitwise equal to the
+    run's own ``fit_stream``. A malformed run raises before any run is
+    fitted.
+    """
+    rows = [trr._check_stream_inputs(p, r)
+            for trr, p, r in zip(trrs, pmcs_rows, readings)]
+    _fit_all(trrs, rows, readings)
+    return [StaticTRRStream(trr, r) for trr, r in zip(trrs, readings)]
+
+
+def _fit_all(trrs, pmcs_rows, readings) -> None:
+    """Steps 1 and 2 for many runs: trend splines, cross-fitted residual
+    targets and ResModels (the dense predictions come later).
+
+    Runs with the default trend model fit and predict as spline stacks
+    (:func:`~repro.interp.spline.fit_stack`,
+    :func:`~repro.interp.spline.predict_stack`); a pluggable trend model
+    fits and predicts on its own.
+    """
+    tracer = current_tracer()
+    knots, held_out = [], []
+    for trr, r in zip(trrs, readings):
+        trr._lo, trr._hi = trr._limits(r)
+        x = r.indices.astype(float)
+        vals = r.values
+        # Step 1: the trend from all readings. Step 2's 2-fold cross-fit:
+        # each fold spline fits one parity of the readings and is measured
+        # on the other (at least four readings, so each fold has >= 2).
+        knots += [(x, vals), (x[0::2], vals[0::2]), (x[1::2], vals[1::2])]
+        held_out += [x[1::2], x[0::2]]
+    factories = [trr._trend_factory for trr in trrs for _ in range(3)]
+    with tracer.span("trr.spline"):
+        models = _fit_trends(factories, knots)
+    with tracer.span("trr.resmodel"):
+        fold_preds = _predict_trends(
+            [m for i, m in enumerate(models) if i % 3], held_out
+        )
+        for k, (trr, rows, r) in enumerate(zip(trrs, pmcs_rows, readings)):
+            trr.spline_ = models[3 * k]
+            vals = r.values
+            residual_targets = np.empty(len(r))
+            residual_targets[1::2] = vals[1::2] - fold_preds[2 * k]
+            residual_targets[0::2] = vals[0::2] - fold_preds[2 * k + 1]
+            if not trr.config.residual_signed:
+                residual_targets = np.abs(residual_targets)
+            trr.res_model_ = trr._res_model_factory()
+            trr.res_model_.fit(rows, residual_targets)
+            # Flatten the freshly fitted ResModel eagerly: the dense
+            # prediction (and any later re-restore) runs over whole traces
+            # or fleet-stacked chunks, exactly the batch shapes the
+            # compiled descent is built for.
+            precompile(trr.res_model_)
+
+
+def _fit_trends(factories, knots) -> list:
+    """One fitted trend model per knot set; default splines as one stack."""
+    stacked = [i for i, f in enumerate(factories) if f is CubicSplineInterpolator]
+    models = [None] * len(knots)
+    for i, spline in zip(stacked, fit_stack([knots[i] for i in stacked])):
+        models[i] = spline
+    for i, factory in enumerate(factories):
+        if models[i] is None:
+            models[i] = factory().fit(*knots[i])
+    return models
+
+
+def _predict_trends(models, queries) -> list:
+    """Each trend model at its own queries; default splines in one pass."""
+    stacked = [i for i, m in enumerate(models)
+               if type(m) is CubicSplineInterpolator]
+    preds = [None] * len(models)
+    for i, pred in zip(stacked, predict_stack([models[i] for i in stacked],
+                                              [queries[i] for i in stacked])):
+        preds[i] = pred
+    for i, model in enumerate(models):
+        if preds[i] is None:
+            preds[i] = model.predict(queries[i])
+    return preds
 
 
 class _FusionScan:

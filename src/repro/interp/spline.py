@@ -9,6 +9,17 @@ This is the trend model inside StaticTRR: the sparse IPMI readings are the
 knots, and evaluating the spline at 1 Sa/s restores the long-term power
 trend (:class:`repro.core.static_trr.StaticTRR` adds the residual model on
 top for short-term fluctuations).
+
+Fitting is stacked. :func:`fit_stack` fits many knot sets at once: sets
+with equal knot counts share ``(R, n)`` arrays for the knot spacings, the
+right-hand side, the Thomas solve and the Horner compile, so a fleet that
+opens hundreds of short runs pays a few array operations per knot count
+instead of a few dozen per spline. Every step is elementwise along the
+stack axis, and the Thomas recurrence runs per row on Python floats (the
+same IEEE-754 doubles), so each stacked spline is bitwise equal to fitting
+it alone. :meth:`CubicSplineInterpolator.fit` is the stack of one — there
+is one fit path. :func:`predict_stack` evaluates many fitted splines, each
+at its own query points, in one pass.
 """
 
 from __future__ import annotations
@@ -16,31 +27,172 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import NotFittedError, ValidationError
-from ..utils.validation import check_1d, check_consistent_length
+from ..utils.validation import check_1d
+
+_EXTRAPOLATE = ("linear", "clamp")
 
 
-def _thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+def _thomas_solve(off: np.ndarray, diag: np.ndarray,
                   rhs: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system in O(n) (Thomas algorithm).
+    """Solve ``R`` symmetric tridiagonal systems in O(R·m) (Thomas).
 
-    ``lower[i]`` multiplies ``x[i-1]`` in row ``i``; ``upper[i]`` multiplies
-    ``x[i+1]``. The matrix must be diagonally dominant (true for the spline
-    system, whose diagonal is 2·(h_i + h_{i+1}) against off-diagonals h).
+    Row ``i`` of a system reads ``off[i-1]·x[i-1] + diag[i]·x[i] +
+    off[i]·x[i+1] = rhs[i]``; ``off`` has ``m − 1`` columns. The matrix
+    must be diagonally dominant (true for the spline system, whose diagonal
+    is 2·(h_i + h_{i+1}) against off-diagonals h). The recurrence runs per
+    system on Python floats: numpy's per-column form would pay one array
+    call per knot, which dominates a single long fit.
     """
-    n = diag.shape[0]
-    c = np.empty(n)
-    d = np.empty(n)
-    c[0] = upper[0] / diag[0]
-    d[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - lower[i] * c[i - 1]
-        c[i] = upper[i] / denom if i < n - 1 else 0.0
-        d[i] = (rhs[i] - lower[i] * d[i - 1]) / denom
-    x = np.empty(n)
-    x[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
+    m = diag.shape[1]
+    out = []
+    for o, dg, b in zip(off.tolist(), diag.tolist(), rhs.tolist()):
+        c = [o[0] / dg[0] if m > 1 else 0.0]
+        d = [b[0] / dg[0]]
+        for i in range(1, m):
+            denom = dg[i] - o[i - 1] * c[i - 1]
+            c.append(o[i] / denom if i < m - 1 else 0.0)
+            d.append((b[i] - o[i - 1] * d[i - 1]) / denom)
+        x = [d[-1]] * m
+        for i in range(m - 2, -1, -1):
+            x[i] = d[i] - c[i] * x[i + 1]
+        out.append(x)
+    return np.array(out)
+
+
+def _fit_group(x: np.ndarray, y: np.ndarray, extrapolate: str):
+    """Fit ``R`` natural splines over ``(R, n)`` knot arrays.
+
+    Returns ``(x, y, m, coef)``: the knots sorted per row, the knot second
+    derivatives and the ``(R, 4, n)`` Horner coefficients. Interval ``k <
+    n-1`` covers ``[x_k, x_{k+1})`` with the cubic ``c0 + dx·(c1 + dx·(c2 +
+    dx·c3))`` in ``dx = xq − x_k``. Slot ``n-1`` is a boundary sentinel for
+    ``xq ≥ x_{n-1}``: constant ``y_{n-1}`` under clamp extrapolation, the
+    right-tangent line under linear — so knot queries land at ``dx = 0``
+    and reproduce ``y`` exactly, and above-range queries need no separate
+    mask. ``c1`` of interval 0 is the first derivative at ``x_0``, which
+    below-range queries extrapolate with.
+    """
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValidationError("spline knots must be finite")
+    h = x[:, 1:] - x[:, :-1]
+    if (h <= 0).any():
+        # Slow path: callers with unsorted knots (the common case —
+        # reading indices — arrives already ascending and skips the sort).
+        order = np.argsort(x, axis=1)
+        x = np.take_along_axis(x, order, axis=1)
+        y = np.take_along_axis(y, order, axis=1)
+        h = x[:, 1:] - x[:, :-1]
+        if (h <= 0).any():
+            raise ValidationError("spline knots must have distinct x values")
+    r, n = x.shape
+    m = np.zeros((r, n))
+    dy = (y[:, 1:] - y[:, :-1]) / h
+    if n > 2:
+        # Interior rows of the tridiagonal system for second derivatives:
+        # row k (knot i=k+1): h[k]·M_k + 2(h[k]+h[k+1])·M_{k+1} + h[k+1]·M_{k+2}.
+        m[:, 1:-1] = _thomas_solve(h[:, 1:-1], 2.0 * (h[:, :-1] + h[:, 1:]),
+                                   6.0 * (dy[:, 1:] - dy[:, :-1]))
+    coef = np.zeros((r, 4, n))
+    coef[:, 0] = y
+    coef[:, 1, :-1] = dy - h * (2.0 * m[:, :-1] + m[:, 1:]) / 6.0
+    coef[:, 2, :-1] = m[:, :-1] / 2.0
+    coef[:, 3, :-1] = (m[:, 1:] - m[:, :-1]) / (6.0 * h)
+    if extrapolate == "linear":
+        # The right-tangent slope at x_{n-1} (dy's last column is the last
+        # interval's secant).
+        coef[:, 1, -1] = dy[:, -1] + h[:, -1] * (2 * m[:, -1] + m[:, -2]) / 6.0
+    return x, y, m, coef
+
+
+def _knots(x, y) -> "tuple[np.ndarray, np.ndarray]":
+    """Validate one knot set (the per-set checks of :func:`_fit_group`)."""
+    x = check_1d(x, "x")
+    y = check_1d(y, "y")
+    if x.shape != y.shape:
+        raise ValidationError(
+            f"inconsistent lengths: x={x.shape[0]}, y={y.shape[0]}"
+        )
+    if x.shape[0] < 2:
+        raise ValidationError("spline needs at least two knots")
+    return x, y
+
+
+def _check_extrapolate(extrapolate: str) -> None:
+    if extrapolate not in _EXTRAPOLATE:
+        raise ValidationError("extrapolate must be 'linear' or 'clamp'")
+
+
+def fit_stack(knots, extrapolate: str = "linear") -> "list[CubicSplineInterpolator]":
+    """Fit one natural spline per ``(x, y)`` knot set, in input order.
+
+    Knot sets with equal counts fit as one ``(R, n)`` stack; each spline is
+    bitwise equal to ``CubicSplineInterpolator(extrapolate).fit(x, y)``.
+    Raises :class:`ValidationError` if any set is malformed (fewer than two
+    knots, mismatched lengths, non-finite or repeated ``x``), in which case
+    no spline is returned.
+    """
+    _check_extrapolate(extrapolate)
+    sets = []
+    groups: "dict[int, list[int]]" = {}
+    for x, y in knots:
+        x, y = _knots(x, y)
+        groups.setdefault(x.shape[0], []).append(len(sets))
+        sets.append((x, y))
+    out: "list[CubicSplineInterpolator]" = [None] * len(sets)
+    for rows in groups.values():
+        n = sets[rows[0]][0].shape[0]
+        fitted = _fit_group(
+            np.concatenate([sets[i][0] for i in rows]).reshape(-1, n),
+            np.concatenate([sets[i][1] for i in rows]).reshape(-1, n),
+            extrapolate,
+        )
+        for row, i in enumerate(rows):
+            spline = CubicSplineInterpolator(extrapolate)
+            spline._set(*(a[row] for a in fitted))
+            out[i] = spline
+    return out
+
+
+def predict_stack(splines, queries) -> "list[np.ndarray]":
+    """Evaluate each fitted spline at its own query points, in one pass.
+
+    Bitwise equal to ``[s.predict(q) for s, q in zip(splines, queries)]``:
+    the splines' compiled coefficients are concatenated, each query is
+    mapped to its spline's interval, and the Horner evaluation and
+    below-range extrapolation run once over every query.
+    """
+    if not splines:
+        return []
+    if any(s._x is None for s in splines):
+        raise NotFittedError("predict_stack before fit")
+    queries = [check_1d(np.atleast_1d(q), "xq") for q in queries]
+    if len(queries) != len(splines):
+        raise ValidationError(
+            f"{len(queries)} query arrays for {len(splines)} splines"
+        )
+    offsets = np.cumsum([0] + [s._x.shape[0] for s in splines[:-1]])
+    counts = [q.shape[0] for q in queries]
+    xq = np.concatenate(queries)
+    idx = np.concatenate([
+        s._x_inner.searchsorted(q, side="right") + off
+        for s, q, off in zip(splines, queries, offsets.tolist())
+    ])
+    x = np.concatenate([s._x for s in splines])
+    coef = np.concatenate([s._coef for s in splines], axis=1)
+    c0, c1, c2, c3 = coef[:, idx]
+    dx = xq - x[idx]
+    out = c0 + dx * (c1 + dx * (c2 + dx * c3))
+    first = np.repeat(offsets, counts)
+    below = xq < x[first]
+    if below.any():
+        start = first[below]
+        y0, slope0 = coef[0, start], coef[1, start]
+        linear = np.repeat([s.extrapolate == "linear" for s in splines],
+                           counts)[below]
+        out[below] = np.where(
+            linear, y0 + slope0 * (xq[below] - x[start]), y0
+        )
+    return np.split(out, np.cumsum(counts)[:-1])
 
 
 class CubicSplineInterpolator:
@@ -55,18 +207,16 @@ class CubicSplineInterpolator:
     """
 
     def __init__(self, extrapolate: str = "linear") -> None:
-        if extrapolate not in ("linear", "clamp"):
-            raise ValidationError("extrapolate must be 'linear' or 'clamp'")
+        _check_extrapolate(extrapolate)
         self.extrapolate = extrapolate
         self._x: np.ndarray | None = None
         self._y: np.ndarray | None = None
         self._m: np.ndarray | None = None  # second derivatives at the knots
-        # Per-interval polynomial coefficients, compiled at fit time so
-        # evaluation is one searchsorted + Horner (no a/b/h re-derivation).
-        self._c0: np.ndarray | None = None
-        self._c1: np.ndarray | None = None
-        self._c2: np.ndarray | None = None
-        self._c3: np.ndarray | None = None
+        # Per-interval polynomial coefficients (rows c0..c3), compiled at
+        # fit time so evaluation is one searchsorted + Horner (no a/b/h
+        # re-derivation).
+        self._coef: np.ndarray | None = None
+        self._c0 = self._c1 = self._c2 = self._c3 = None
         self._x_inner: np.ndarray | None = None  # knots sans x_0 (interval lookup)
 
     @property
@@ -74,60 +224,16 @@ class CubicSplineInterpolator:
         return self._x is not None
 
     def fit(self, x, y) -> "CubicSplineInterpolator":
-        """Compute knot second derivatives from sparse readings."""
-        x = check_1d(x, "x")
-        y = check_1d(y, "y")
-        check_consistent_length(x, y, names=("x", "y"))
-        if x.shape[0] < 2:
-            raise ValidationError("spline needs at least two knots")
-        h = np.diff(x)
-        if np.any(h <= 0):
-            # Slow path: callers with unsorted knots (the common case —
-            # reading indices — arrives already ascending and skips the sort).
-            order = np.argsort(x)
-            x, y = x[order], y[order]
-            h = np.diff(x)
-            if np.any(h <= 0):
-                raise ValidationError("spline knots must have distinct x values")
-        n = x.shape[0]
-        m = np.zeros(n)
-        if n > 2:
-            # Interior rows of the tridiagonal system for second derivatives:
-            # row k (knot i=k+1): h[k]·M_k + 2(h[k]+h[k+1])·M_{k+1} + h[k+1]·M_{k+2}.
-            lower = np.concatenate(([0.0], h[1:-1]))
-            diag = 2.0 * (h[:-1] + h[1:])
-            upper = np.concatenate((h[1:-1], [0.0]))
-            rhs = 6.0 * ((y[2:] - y[1:-1]) / h[1:] - (y[1:-1] - y[:-2]) / h[:-1])
-            m[1:-1] = _thomas_solve(lower, diag, upper, rhs)
-        self._x, self._y, self._m = x, y, m
-        self._compile(h)
+        """Compute knot second derivatives from sparse readings (the
+        :func:`fit_stack` of one)."""
+        x, y = _knots(x, y)
+        self._set(*(a[0] for a in _fit_group(x[None], y[None], self.extrapolate)))
         return self
 
-    def _compile(self, h: np.ndarray) -> None:
-        """Precompute per-interval Horner coefficients.
-
-        Interval ``k < n-1`` covers ``[x_k, x_{k+1})`` with the cubic
-        ``c0 + dx·(c1 + dx·(c2 + dx·c3))`` in ``dx = xq − x_k``. Slot
-        ``n-1`` is a boundary sentinel for ``xq ≥ x_{n-1}``: constant
-        ``y_{n-1}`` under clamp extrapolation, the right-tangent line under
-        linear — so knot queries land at ``dx = 0`` and reproduce ``y``
-        exactly, and above-range queries need no separate mask.
-        """
-        x, y, m = self._x, self._y, self._m
-        n = x.shape[0]
-        c0 = np.empty(n)
-        c1 = np.empty(n)
-        c2 = np.empty(n)
-        c3 = np.empty(n)
-        c0[:-1] = y[:-1]
-        c1[:-1] = (y[1:] - y[:-1]) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
-        c2[:-1] = m[:-1] / 2.0
-        c3[:-1] = (m[1:] - m[:-1]) / (6.0 * h)
-        c0[-1] = y[-1]
-        c1[-1] = 0.0 if self.extrapolate == "clamp" else self._slope_at(n - 1)
-        c2[-1] = 0.0
-        c3[-1] = 0.0
-        self._c0, self._c1, self._c2, self._c3 = c0, c1, c2, c3
+    def _set(self, x, y, m, coef) -> None:
+        self._x, self._y, self._m, self._coef = x, y, m, coef
+        # Row views: four 1-D gathers per evaluation beat one 2-D gather.
+        self._c0, self._c1, self._c2, self._c3 = coef
         # Searching the knots without x_0 maps xq directly to its interval
         # (count of interior knots ≤ xq), replacing the searchsorted−1 plus
         # clip of the naive lookup with a single call.
@@ -144,7 +250,7 @@ class CubicSplineInterpolator:
         """Validation-free Horner evaluation over the compiled coefficients.
 
         Above-range queries fall into the sentinel interval (see
-        :meth:`_compile`); only below-range queries need a mask.
+        :func:`_fit_group`); only below-range queries need a mask.
         """
         x = self._x
         idx = self._x_inner.searchsorted(xq, side="right")
@@ -158,7 +264,8 @@ class CubicSplineInterpolator:
             if self.extrapolate == "clamp":
                 out[below] = y[0]
             else:
-                out[below] = y[0] + self._slope_at(0) * (xq[below] - x[0])
+                # c1 of interval 0 is the first derivative at x_0.
+                out[below] = y[0] + self._c1[0] * (xq[below] - x[0])
         return out
 
     def evaluator(self):
@@ -174,12 +281,3 @@ class CubicSplineInterpolator:
 
     def fit_predict(self, x, y, xq) -> np.ndarray:
         return self.fit(x, y).predict(xq)
-
-    def _slope_at(self, k: int) -> float:
-        """First derivative of the spline at knot ``k`` (for extrapolation)."""
-        x, y, m = self._x, self._y, self._m
-        if k == 0:
-            h = x[1] - x[0]
-            return float((y[1] - y[0]) / h - h * (2 * m[0] + m[1]) / 6.0)
-        h = x[k] - x[k - 1]
-        return float((y[k] - y[k - 1]) / h + h * (2 * m[k] + m[k - 1]) / 6.0)

@@ -151,12 +151,15 @@ class DecisionTreeRegressor(Regressor):
     def fit(self, X, y) -> "DecisionTreeRegressor":
         X, y = self._validate_xy(X, y)
         self._compiled = None
-        rng = as_generator(self.random_state)
+        # Created on the first feature-subset draw: seeding from None reads
+        # OS entropy, and a tree that considers every feature never draws.
+        rng = None
         self.n_features_ = X.shape[1]
         nodes: list[_Node] = []
         max_depth = self.max_depth if self.max_depth is not None else np.inf
 
         def grow(indices: np.ndarray, depth: int) -> int:
+            nonlocal rng
             node_id = len(nodes)
             # One gather per node; the per-feature split search below reuses
             # these views instead of re-slicing X[indices, j] / y[indices]
@@ -173,6 +176,8 @@ class DecisionTreeRegressor(Regressor):
                 or np.ptp(y_node) == 0.0
             ):
                 return node_id
+            if rng is None and self.max_features is not None:
+                rng = as_generator(self.random_state)
             _, best_feat, best_thr = _best_split(
                 X_node, y_node,
                 self._n_split_features(self.n_features_, rng),

@@ -4,9 +4,10 @@ The paper's deployment is one HighRPM service shared by many computing
 nodes (§4.1). :class:`FleetMonitor` is the only driver of the observation
 pipeline: it opens a run per node, interleaves the registered nodes' runs
 chunk by chunk, and closes each run when its source is exhausted.
-``PowerMonitorService.observe_run`` is a fleet of one. Per tick, the
-cross-node predict calls are batched through the compiled flat-array
-layer:
+``PowerMonitorService.observe_run`` is a fleet of one. A round's runs
+open in one pass, in which every static run's StaticTRR splines fit as
+one stack per knot count. Per tick, the cross-node predict calls are
+batched through the compiled flat-array layer:
 
 * static runs' per-run ResModel trees are fused into
   :class:`~repro.perf.TreeStack` frontier descents over every node's
@@ -39,6 +40,7 @@ from ..core.highrpm import (
     PROV_RESTORED,
     MonitorResult,
 )
+from ..core.static_trr import fit_streams
 from ..errors import ValidationError
 from ..obs import use_registry, use_tracer
 from ..perf.batch import TreeStack, single_tree_of
@@ -74,11 +76,12 @@ class _FleetRun:
 class FleetMonitor:
     """Interleaves runs from N registered nodes through one service.
 
-    ``submit`` opens a run per node (at most one in flight per node);
-    every ``tick`` advances each active run by one ``chunk_size`` chunk
-    (``None``: the whole run as one chunk), batching ResModel and SRR
-    inference across the fleet. ``observe_all`` is the submit-and-drain
-    convenience wrapper.
+    ``submit_all`` opens a run per node in one pass (at most one in
+    flight per node; ``submit`` is the pass of one); every ``tick``
+    advances each active run by one ``chunk_size`` chunk (``None``: the
+    whole run as one chunk), batching ResModel and SRR inference across
+    the fleet. ``observe_all`` is the submit-and-drain convenience
+    wrapper.
 
     A step that raises loses every run whose chunk it was carrying: those
     runs leave the active set and count once in
@@ -130,27 +133,99 @@ class FleetMonitor:
                 with service.tracer.span(span):
                     yield cost
             except Exception:
-                failed = service.registry.counter(
-                    "repro_monitor_failed_runs_total",
-                    "Runs lost to an exception inside the monitor.", ("node",),
-                )
-                for node_id in at_risk:
-                    self._runs.pop(node_id, None)
-                    failed.labels(node=node_id).inc()
+                self._lose(at_risk)
                 raise
 
+    def _lose(self, node_ids) -> None:
+        """Drop runs lost to an exception; each counts once as failed."""
+        failed = self.service.registry.counter(
+            "repro_monitor_failed_runs_total",
+            "Runs lost to an exception inside the monitor.", ("node",),
+        )
+        for node_id in node_ids:
+            self._runs.pop(node_id, None)
+            failed.labels(node=node_id).inc()
+
     def submit(self, node_id: str, bundle: TraceBundle, online: bool = True) -> None:
-        """Open one run for a node (ingest, calibrate and gate happen here)."""
-        if node_id in self._runs:
-            raise ValidationError(f"node {node_id!r} already has an active run")
-        ctx = ObservationContext(self.service, node_id, bundle, online,
-                                 self.chunk_size)
-        health = ctx.health
-        before = (health.retries, health.gated_readings,
-                  health.outages, health.degraded_runs)
-        with self._step("fleet.submit", {node_id}):
-            self.pipeline.open_run(ctx)
-        self._runs[node_id] = _FleetRun(ctx, input_chunks(ctx), before)
+        """Open one run for a node: the :meth:`submit_all` of one."""
+        self.submit_all([(node_id, bundle)], online=online)
+
+    def submit_all(self, runs, online: bool = True) -> None:
+        """Open one run per ``{node_id: bundle}`` entry (or pair) in one pass.
+
+        Per run, the feed stages (ingest, calibrate, gate) open; then every
+        static run's StaticTRR fits in one stacked pass
+        (:meth:`_batch_open`); then per run the remaining stages open.
+
+        A run whose stages raise is lost alone: it counts once in
+        ``repro_monitor_failed_runs_total``, the other runs still open, and
+        the first such exception re-raises once the pass is done. A raise
+        inside the stacked fit loses every run of the pass that was still
+        opening and propagates at once. An unknown node, or one with a run
+        in flight (or named twice), raises before any run opens.
+        """
+        items = runs.items() if hasattr(runs, "items") else runs
+        pending = []  # (context, health counters before the run)
+        named: "set[str]" = set()
+        for node_id, bundle in items:
+            if node_id in self._runs or node_id in named:
+                raise ValidationError(
+                    f"node {node_id!r} already has an active run"
+                )
+            named.add(node_id)
+            ctx = ObservationContext(self.service, node_id, bundle, online,
+                                     self.chunk_size)
+            health = ctx.health
+            pending.append((ctx, (health.retries, health.gated_readings,
+                                  health.outages, health.degraded_runs)))
+        if not pending:
+            return
+        errors: "list[Exception]" = []
+        at_risk: "set[str]" = set()
+        with self._step("fleet.submit", at_risk):
+            pending = [(ctx, before) for ctx, before in pending
+                       if self._open(ctx, 0, self._restore_i, errors)]
+            at_risk.update(ctx.node_id for ctx, _ in pending)
+            self._batch_open([ctx for ctx, _ in pending])
+            at_risk.clear()
+            for ctx, before in pending:
+                if self._open(ctx, self._restore_i, None, errors):
+                    self._runs[ctx.node_id] = _FleetRun(
+                        ctx, input_chunks(ctx), before
+                    )
+        if errors:
+            raise errors[0]
+
+    def _open(self, ctx, start: int, stop: "int | None", errors) -> bool:
+        """Open stages ``[start, stop)`` of one run; a raise loses the run
+        alone and is kept in ``errors``."""
+        try:
+            self.pipeline.open_run(ctx, start, stop)
+        except Exception as exc:  # the rest of the pass still opens
+            self._lose((ctx.node_id,))
+            errors.append(exc)
+            return False
+        return True
+
+    def _batch_open(self, contexts) -> None:
+        """Pre-fill static runs' restorers, fitting every run's StaticTRR
+        splines as one stack per knot count (the restore stage then skips
+        its own fit).
+
+        Static runs of every device class fit together: the spline stacks
+        group by knot count alone, and each run keeps its own model's
+        config, power limits and ResModel."""
+        static = [ctx for ctx in contexts if ctx.mode == "static"]
+        if len(static) < 2:
+            return  # nothing to stack; the restore stage's own fit is identical
+        with self.service.tracer.span("monitor.restore"):
+            streams = fit_streams(
+                [ctx.model.static_trr() for ctx in static],
+                [ctx.bundle.pmcs.matrix[ctx.readings.indices] for ctx in static],
+                [ctx.readings for ctx in static],
+            )
+        for ctx, stream in zip(static, streams):
+            ctx.restorer = stream
 
     def tick(self) -> "dict[str, MonitorResult]":
         """Advance every active run by one chunk; returns finished runs."""
@@ -389,9 +464,7 @@ class FleetMonitor:
         self, runs, online: bool = True
     ) -> "dict[str, MonitorResult]":
         """Submit ``{node_id: bundle}`` (or pairs) and tick until drained."""
-        items = runs.items() if hasattr(runs, "items") else runs
-        for node_id, bundle in items:
-            self.submit(node_id, bundle, online=online)
+        self.submit_all(runs, online=online)
         results: "dict[str, MonitorResult]" = {}
         while self._runs:
             results.update(self.tick())

@@ -258,10 +258,11 @@ class RestoreStage(Stage):
     def open_run(self, ctx: ObservationContext) -> None:
         model = ctx.model
         if ctx.mode == "static":
-            pmcs = ctx.bundle.pmcs.matrix
-            ctx.restorer = model.offline_stream(
-                pmcs[ctx.readings.indices], ctx.readings
-            )
+            if ctx.restorer is None:  # the fleet front-end pre-fills in stacks
+                pmcs = ctx.bundle.pmcs.matrix
+                ctx.restorer = model.offline_stream(
+                    pmcs[ctx.readings.indices], ctx.readings
+                )
         else:  # dynamic, or model_only's anchorless forecast
             ctx.restorer = model.online_session(retain=False)
         # Provenance depends only on the run's reading positions, which are

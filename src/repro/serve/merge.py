@@ -34,6 +34,11 @@ STREAM_QUEUE_DEPTH = 4096
 REPLAY_DEPTH = 1024
 
 
+def encode_record(record: dict) -> str:
+    """The compact ndjson line of one stream record."""
+    return json.dumps(record, separators=(",", ":"))
+
+
 class StreamHub:
     """Broadcasts ndjson lines to every connected ``/stream`` client.
 
@@ -77,8 +82,8 @@ class StreamHub:
             "repro_serve_stream_clients", "Connected /stream clients."
         ).set(float(n))
 
-    def publish(self, record: dict) -> None:
-        line = json.dumps(record, separators=(",", ":"))
+    def publish(self, line: str) -> None:
+        """Broadcast one encoded ndjson line (no trailing newline)."""
         with self._lock:
             self._replay.append(line)
             subscribers = list(self._subscribers)
@@ -172,8 +177,11 @@ class EventCollector:
         if kind in ("chunk", "end_run"):
             _, _, t_emit, record = event
             self._latency.observe(max(time.monotonic() - t_emit, 0.0))
-            self.hub.publish(record)
-            self._persist(record)
+            # One encode per record: /stream and the ndjson file carry the
+            # same line.
+            line = encode_record(record)
+            self.hub.publish(line)
+            self._persist(line)
         elif kind == "state":
             _, shard, t_emit, payload = event
             self._latency.observe(max(time.monotonic() - t_emit, 0.0))
@@ -188,12 +196,12 @@ class EventCollector:
         elif kind == "done":
             self.done.add(event[1])
 
-    def _persist(self, record: dict) -> None:
+    def _persist(self, line: str) -> None:
         if self.ndjson is None:
             return
         if self._fh is None:
             self._fh = Path(self.ndjson).open("a", encoding="utf-8")
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        self._fh.write(line + "\n")
         self._fh.flush()
 
     def _finalize(self) -> None:

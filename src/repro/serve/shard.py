@@ -175,10 +175,10 @@ class ShardRunner:
         }))
 
     def run_round(self) -> None:
-        """Submit one run per node and tick the shard until drained."""
+        """Open one run per node in one pass and tick the shard until
+        drained."""
         config = self.config
-        for node_id, bundle in self.bundles.items():
-            self.fleet.submit(node_id, bundle, online=config.online)
+        self.fleet.submit_all(self.bundles, online=config.online)
         while self.fleet.active_nodes:
             finished = self.fleet.tick()
             if config.keep_results:

@@ -103,8 +103,10 @@ class StreamPipeline:
 
     # The run driver interleaves many runs, pausing between stages to
     # batch inference across them, so the pipeline exposes single steps.
-    def open_run(self, ctx: RunContext) -> None:
-        for stage in self.stages:
+    def open_run(self, ctx: RunContext, start: int = 0,
+                 stop: "int | None" = None) -> None:
+        """Fire ``open_run`` of stages ``[start, stop)`` (default: all)."""
+        for stage in self.stages[start:stop]:
             self._timed(stage, stage.open_run, ctx)
 
     def close_run(self, ctx: RunContext) -> None:

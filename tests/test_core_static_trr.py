@@ -62,6 +62,18 @@ class TestStaticTRR:
         with pytest.raises(ValidationError):
             static_trr.fit_restore(small_bundle.pmcs.matrix, readings)
 
+    def test_non_finite_reading_rejected(self, small_bundle):
+        """One NaN reading used to restore most of the trace as NaN."""
+        trr = StaticTRR(p_upper=400, p_bottom=50)
+        values = np.full(10, 200.0)
+        values[4] = np.nan
+        readings = SparseReadings(
+            indices=np.arange(5, 100, 10), values=values, interval_s=10,
+            n_dense=100,
+        )
+        with pytest.raises(ValidationError, match="finite"):
+            trr.restore(small_bundle.pmcs.matrix[:100], readings)
+
     def test_length_mismatch_rejected(self, static_trr, small_bundle, ipmi_readings):
         with pytest.raises(ValidationError):
             static_trr.fit_restore(small_bundle.pmcs.matrix[:-5], ipmi_readings)

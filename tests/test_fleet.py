@@ -13,14 +13,25 @@ import numpy as np
 import pytest
 
 from repro.core.dynamic_trr import run_fine_tunes
+from repro.core.static_trr import fit_streams
 from repro.errors import ConvergenceError, NotFittedError, ValidationError
 from repro.faults import FaultySensor, OutageWindow
+from repro.gpu import AcceleratedNodeSimulator, gpu_workload
 from repro.ml.tree import DecisionTreeRegressor
-from repro.monitor import FleetMonitor, PowerMonitorService, ResiliencePolicy
+from repro.monitor import (
+    FleetMonitor,
+    GPUSRRHead,
+    NodeProfile,
+    PowerMonitorService,
+    ResiliencePolicy,
+    SamplingGovernor,
+)
 from repro.monitor import fleet as fleet_module
+from repro.monitor.pipeline import IngestStage
 from repro.obs import MetricsRegistry
 from repro.perf import CompiledTree, TreeStack, single_tree_of
 from repro.sensors import IPMISensor
+from repro.serve import ServeConfig
 from repro.stream import Sink
 
 
@@ -90,9 +101,11 @@ class TestPredictBatched:
 
 
 def _twin_services(chaos_reference, node_ids, dead=(), policy=None,
-                   sinks=None, outages=None):
+                   sinks=None, outages=None, gpu=None):
     """Two identical services; ``dead`` nodes' feeds never answer and
-    ``outages`` maps a node to the window its feed goes silent in."""
+    ``outages`` maps a node to the window its feed goes silent in. With
+    ``gpu`` (a trained ``(HighRPM, GPUSRR)`` pair), nodes named ``gpu-*``
+    join a GPU device class and both services run a sampling governor."""
     reference, _ = chaos_reference
     outages = outages or {}
     services = []
@@ -100,8 +113,17 @@ def _twin_services(chaos_reference, node_ids, dead=(), policy=None,
         svc = PowerMonitorService(reference.model, reference.spec,
                                   policy=policy, registry=MetricsRegistry(),
                                   sinks=sinks)
+        if gpu is not None:
+            svc.register_device_class("gpu", gpu[0], head=GPUSRRHead(gpu[1]))
+            svc.set_governor(SamplingGovernor(
+                ServeConfig(governor=True).governor_policy()
+            ))
         for i, nid in enumerate(node_ids):
-            if nid in dead:
+            if nid.startswith("gpu-"):
+                svc.register_node(nid, profile=NodeProfile(
+                    device_class="gpu", seed=400 + i
+                ))
+            elif nid in dead:
                 svc.register_node(nid, sensor=FaultySensor(
                     IPMISensor(reference.spec, seed=41),
                     faults=[OutageWindow(0, 10_000_000)], seed=42,
@@ -132,64 +154,103 @@ class TestFleetMonitor:
     #: the mixed-stack fleet: fl-b's feed is dead (model-only), fl-c's goes
     #: silent mid-run and recovers, the rest read on their own seeds.
     STACK_IDS = ("fl-a", "fl-b", "fl-c", "fl-d", "fl-e")
+    #: CPU and GPU nodes opened together; fl-b's feed is dead.
+    HETERO_IDS = ("fl-a", "fl-b", "gpu-a", "fl-c", "gpu-b", "fl-d")
 
     @pytest.mark.parametrize(
         "online, seq_chunk, strict_dead, mixed",
         [(True, 16, None, False), (False, 16, None, False),
          (True, None, None, False), (False, None, None, False),
-         (True, 16, "fl-b", False), (True, 16, None, True)],
+         (True, 16, "fl-b", False), (True, 16, None, True),
+         (False, 16, None, "hetero")],
         ids=["online", "offline", "online-whole-run", "offline-whole-run",
-             "strict-dead-feed", "online-mixed-stacks"],
+             "strict-dead-feed", "online-mixed-stacks",
+             "offline-hetero-submit-all"],
     )
     def test_fleet_equals_sequential_observe_run(
-        self, chaos_reference, monkeypatch, online, seq_chunk, strict_dead,
-        mixed,
+        self, chaos_reference, monkeypatch, request, online, seq_chunk,
+        strict_dead, mixed,
     ):
         _, bundle = chaos_reference
         policy = ResiliencePolicy(degrade_to_model_only=False) \
             if strict_dead else None
-        node_ids = self.STACK_IDS if mixed else self.NODE_IDS
+        hetero = mixed == "hetero"
+        node_ids = self.HETERO_IDS if hetero else \
+            self.STACK_IDS if mixed else self.NODE_IDS
         failing = {strict_dead} if strict_dead else set()
         seq_svc, fleet_svc = _twin_services(
             chaos_reference, node_ids, policy=policy,
             dead=failing | ({"fl-b"} if mixed else set()),
-            outages={"fl-c": OutageWindow(40, 40)} if mixed else None,
+            outages={"fl-c": OutageWindow(40, 40)} if mixed is True else None,
+            gpu=request.getfixturevalue("serve_gpu_models") if hetero else None,
         )
-        # Record how each tick's fine-tunes split into stacks.
-        rounds = []
+        bundles = {nid: bundle for nid in node_ids}
+        if hetero:
+            accel = AcceleratedNodeSimulator(host_spec=chaos_reference[0].spec,
+                                             seed=5)
+            for nid in node_ids:
+                if nid.startswith("gpu-"):
+                    bundles[nid] = accel.run(gpu_workload("gemm", seed=5),
+                                             duration_s=len(bundle))
+        # Record how each tick's fine-tunes split into stacks, and how each
+        # round open's stacked StaticTRR fit grouped its runs.
+        rounds, opens = [], []
 
         def spy(jobs):
             rounds.append(Counter(job.key for job in jobs))
             run_fine_tunes(jobs)
 
+        def fit_spy(trrs, pmcs_rows, readings):
+            opens.append(sorted(len(r) for r in readings))
+            return fit_streams(trrs, pmcs_rows, readings)
+
         monkeypatch.setattr(fleet_module, "run_fine_tunes", spy)
-        seq, seq_errors = {}, {}
-        for nid in node_ids:
-            try:
-                seq[nid] = seq_svc.observe_run(nid, bundle, online=online,
-                                               chunk_size=seq_chunk)
-            except Exception as exc:  # the strict dead feed raises
-                seq_errors[nid] = type(exc)
+        monkeypatch.setattr(fleet_module, "fit_streams", fit_spy)
+        # The governor thins the feeds from the second round on.
+        n_rounds = 2 if hetero else 1
+        seq, seq_errors = [], {}
+        for _ in range(n_rounds):
+            seq.append({})
+            for nid in node_ids:
+                try:
+                    seq[-1][nid] = seq_svc.observe_run(
+                        nid, bundles[nid], online=online, chunk_size=seq_chunk
+                    )
+                except Exception as exc:  # the strict dead feed raises
+                    seq_errors[nid] = type(exc)
         rounds.clear()  # a fleet of one has nothing to stack
+        assert opens == []
         fleet = FleetMonitor(fleet_svc, chunk_size=16)
-        fleet_errors = {}
-        for nid in node_ids:
-            try:
-                fleet.submit(nid, bundle, online=online)
-            except Exception as exc:
-                fleet_errors[nid] = type(exc)
-        results = fleet.observe_all([])
+        fleet_errors, results = {}, []
+        for _ in range(n_rounds):
+            if hetero:
+                fleet.submit_all(bundles, online=online)
+            else:
+                for nid in node_ids:
+                    try:
+                        fleet.submit(nid, bundle, online=online)
+                    except Exception as exc:
+                        fleet_errors[nid] = type(exc)
+            results.append(fleet.observe_all([]))
         assert fleet_errors == seq_errors
         assert set(seq_errors) == failing
-        assert set(results) == set(node_ids) - failing
+        assert all(set(r) == set(node_ids) - failing for r in results)
         assert _online_counts(seq_svc) == _online_counts(fleet_svc)
         if mixed:
-            assert results["fl-b"].mode == "model_only"
+            assert results[0]["fl-b"].mode == "model_only"
+        if mixed is True:
             assert _online_counts(fleet_svc)[1:] == (1.0, 1.0)  # fl-c's recovery
             # Some round trained a stack of several nodes beside a stack
             # with another buffer length or step budget.
             assert any(len(keys) >= 2 and max(keys.values()) >= 2
                        for keys in rounds)
+        if hetero:
+            # Each round opened its CPU and GPU static runs in one stacked
+            # fit, and the governor thinned the second round's feeds.
+            assert len(opens) == n_rounds
+            assert all(len(counts) == len(node_ids) - 1 for counts in opens)
+            assert opens[1] != opens[0]
+            assert len(set(opens[1])) >= 2
         for nid in node_ids:
             for svc in (seq_svc, fleet_svc):
                 assert svc.registry.counter(
@@ -197,14 +258,19 @@ class TestFleetMonitor:
                 ).labels(node=nid).value == (1.0 if nid in failing else 0.0)
             assert seq_svc.health(nid).status == fleet_svc.health(nid).status
             assert seq_svc.health(nid).outages == fleet_svc.health(nid).outages
+            assert seq_svc.sampling_stride(nid) == \
+                fleet_svc.sampling_stride(nid)
             if nid in failing:
                 continue
-            np.testing.assert_array_equal(seq[nid].p_node, results[nid].p_node)
-            np.testing.assert_array_equal(seq[nid].p_cpu, results[nid].p_cpu)
-            np.testing.assert_array_equal(seq[nid].p_mem, results[nid].p_mem)
-            np.testing.assert_array_equal(seq[nid].provenance,
-                                          results[nid].provenance)
-            assert seq[nid].mode == results[nid].mode
+            for seq_round, fleet_round in zip(seq, results):
+                want, got = seq_round[nid], fleet_round[nid]
+                np.testing.assert_array_equal(want.p_node, got.p_node)
+                np.testing.assert_array_equal(want.p_cpu, got.p_cpu)
+                np.testing.assert_array_equal(want.p_mem, got.p_mem)
+                if want.p_gpu is not None or got.p_gpu is not None:
+                    np.testing.assert_array_equal(want.p_gpu, got.p_gpu)
+                np.testing.assert_array_equal(want.provenance, got.provenance)
+                assert want.mode == got.mode
             np.testing.assert_array_equal(seq_svc.log(nid).p_node,
                                           fleet_svc.log(nid).p_node)
 
@@ -276,6 +342,76 @@ class TestFleetMonitor:
         # The fleet keeps serving: a fresh run restores the whole bundle.
         again = fleet.observe_all({"fl-b": bundle})
         assert len(again["fl-b"]) == len(bundle)
+
+    def test_submit_all_loses_only_the_runs_whose_feed_raised(
+        self, chaos_reference, monkeypatch
+    ):
+        _, bundle = chaos_reference
+        node_ids = ("fl-a", "fl-b", "fl-c", "fl-d")
+        seq_svc, svc = _twin_services(chaos_reference, node_ids)
+        opened = IngestStage.open_run
+
+        def breaks_for_b_and_d(stage, ctx):
+            if ctx.node_id in ("fl-b", "fl-d"):
+                raise RuntimeError(f"feed of {ctx.node_id} broke")
+            opened(stage, ctx)
+
+        monkeypatch.setattr(IngestStage, "open_run", breaks_for_b_and_d)
+        fleet = FleetMonitor(svc, chunk_size=16)
+        # Both failures are counted; the first one re-raises after the
+        # pass, which still opened the healthy runs (in one stacked fit).
+        with pytest.raises(RuntimeError, match="feed of fl-b broke"):
+            fleet.submit_all({nid: bundle for nid in node_ids}, online=False)
+        failed = svc.registry.counter(
+            "repro_monitor_failed_runs_total", "", ("node",)
+        )
+        assert [failed.labels(node=nid).value for nid in node_ids] \
+            == [0.0, 1.0, 0.0, 1.0]
+        assert fleet.active_nodes == ("fl-a", "fl-c")
+        results = fleet.observe_all([])
+        for nid in ("fl-a", "fl-c"):
+            want = seq_svc.observe_run(nid, bundle, online=False, chunk_size=16)
+            np.testing.assert_array_equal(want.p_node, results[nid].p_node)
+            np.testing.assert_array_equal(want.p_cpu, results[nid].p_cpu)
+        assert svc.health("fl-b").runs == svc.health("fl-d").runs == 0
+
+    def test_failed_stacked_fit_loses_every_run_of_its_pass(
+        self, chaos_reference, monkeypatch
+    ):
+        _, bundle = chaos_reference
+        node_ids = ("fl-a", "fl-b", "fl-c")
+        _, svc = _twin_services(chaos_reference, node_ids)
+        fleet = FleetMonitor(svc, chunk_size=16)
+        fleet.submit("fl-a", bundle, online=False)  # an earlier pass
+
+        def broken_fit(trrs, pmcs_rows, readings):
+            raise FloatingPointError("stacked fit failed")
+
+        monkeypatch.setattr(fleet_module, "fit_streams", broken_fit)
+        with pytest.raises(FloatingPointError, match="stacked fit failed"):
+            fleet.submit_all({"fl-b": bundle, "fl-c": bundle}, online=False)
+        failed = svc.registry.counter(
+            "repro_monitor_failed_runs_total", "", ("node",)
+        )
+        assert [failed.labels(node=nid).value for nid in node_ids] \
+            == [0.0, 1.0, 1.0]
+        assert fleet.active_nodes == ("fl-a",)
+        results = fleet.observe_all([])
+        assert set(results) == {"fl-a"} and len(results["fl-a"]) == len(bundle)
+        # A pass of one static run fits on its own and still opens.
+        again = fleet.observe_all({"fl-b": bundle}, online=False)
+        assert len(again["fl-b"]) == len(bundle)
+
+    def test_submit_all_validates_before_opening_any_run(self, chaos_reference):
+        _, bundle = chaos_reference
+        _, svc = _twin_services(chaos_reference, self.NODE_IDS)
+        fleet = FleetMonitor(svc, chunk_size=32)
+        with pytest.raises(ValidationError, match="already has an active run"):
+            fleet.submit_all([("fl-a", bundle), ("fl-a", bundle)])
+        with pytest.raises(ValidationError, match="unknown node"):
+            fleet.submit_all({"fl-a": bundle, "nope": bundle})
+        assert fleet.active_nodes == ()
+        assert svc.health("fl-a").runs == 0
 
     def test_dead_feed_node_degrades_without_poisoning_the_fleet(
         self, chaos_reference

@@ -6,6 +6,7 @@ from scipy.interpolate import CubicSpline
 
 from repro.errors import NotFittedError, ValidationError
 from repro.interp import ARForecaster, CubicSplineInterpolator, LinearInterpolator
+from repro.interp.spline import fit_stack, predict_stack
 
 
 class TestCubicSpline:
@@ -71,6 +72,101 @@ class TestCubicSpline:
             LinearInterpolator().fit(knots.astype(float), y[knots]).predict(xq) - y
         ).mean()
         assert spline_err < linear_err
+
+
+    @pytest.mark.parametrize("which", ["x", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_knots_rejected(self, which, bad):
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        y = np.array([5.0, 7.0, 6.0, 8.0])
+        (x if which == "x" else y)[1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            CubicSplineInterpolator().fit(x, y)
+        with pytest.raises(ValidationError, match="finite"):
+            fit_stack([(np.arange(4.0), np.ones(4)), (x, y)])
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValidationError, match="inconsistent lengths"):
+            CubicSplineInterpolator().fit([0.0, 1.0, 2.0], [1.0, 2.0])
+
+
+def _queries(x: np.ndarray, rng) -> np.ndarray:
+    """At every knot, between knots, below and above the range."""
+    lo, hi = x.min(), x.max()
+    span = hi - lo
+    return np.concatenate([
+        x, rng.uniform(lo, hi, 9), [lo - 0.5 * span, lo - 1e-9],
+        [hi + 1e-9, hi + 0.5 * span],
+    ])
+
+
+class TestSplineStack:
+    """The stacked fit and evaluation are bitwise equal to single splines."""
+
+    @staticmethod
+    def _knots(rng, n: int, shuffled: bool):
+        x = np.cumsum(rng.uniform(0.5, 20.0, n))
+        y = rng.normal(300.0, 40.0, n)
+        if shuffled:
+            order = rng.permutation(n)
+            x, y = x[order], y[order]
+        return x, y
+
+    @pytest.mark.parametrize("extrapolate", ["linear", "clamp"])
+    def test_stack_equals_single_fits_bitwise(self, rng, extrapolate):
+        # Mixed knot counts in one call, several sets per count, some
+        # shuffled (the sort path) beside sorted ones.
+        counts = [2, 3, 4, 5, 6, 180, 4, 6, 2, 180, 3, 5]
+        knots = [self._knots(rng, n, shuffled=i % 3 == 1)
+                 for i, n in enumerate(counts)]
+        stacked = fit_stack(knots, extrapolate=extrapolate)
+        queries = [_queries(x, rng) for x, _ in knots]
+        singles = [CubicSplineInterpolator(extrapolate).fit(x, y)
+                   for x, y in knots]
+        batched = predict_stack(stacked, queries)
+        for single, spline, xq, out in zip(singles, stacked, queries, batched):
+            assert spline.extrapolate == extrapolate
+            assert spline._m.tobytes() == single._m.tobytes()
+            assert spline._coef.tobytes() == single._coef.tobytes()
+            want = single.predict(xq)
+            assert spline.predict(xq).tobytes() == want.tobytes()
+            assert out.tobytes() == want.tobytes()
+
+    def test_predict_stack_mixes_extrapolation_modes(self, rng):
+        knots = [self._knots(rng, n, shuffled=False) for n in (3, 5)]
+        splines = [CubicSplineInterpolator(mode).fit(x, y)
+                   for mode, (x, y) in zip(("linear", "clamp"), knots)]
+        queries = [_queries(x, rng) for x, _ in knots]
+        for spline, xq, out in zip(splines, queries,
+                                   predict_stack(splines, queries)):
+            assert out.tobytes() == spline.predict(xq).tobytes()
+
+    def test_stack_matches_scipy(self, rng):
+        knots = [self._knots(rng, n, shuffled=False) for n in (4, 4, 9)]
+        for (x, y), spline in zip(knots, fit_stack(knots)):
+            xq = np.linspace(x[0], x[-1], 50)
+            np.testing.assert_allclose(
+                spline.predict(xq), CubicSpline(x, y, bc_type="natural")(xq),
+                atol=1e-9,
+            )
+
+    def test_malformed_set_fails_the_whole_stack(self):
+        good = (np.arange(4.0), np.ones(4))
+        with pytest.raises(ValidationError, match="at least two knots"):
+            fit_stack([good, ([1.0], [2.0])])
+        with pytest.raises(ValidationError, match="distinct"):
+            fit_stack([good, ([0.0, 2.0, 2.0, 3.0], np.ones(4))])
+        with pytest.raises(ValidationError, match="extrapolate"):
+            fit_stack([good], extrapolate="wild")
+        assert fit_stack([]) == []
+
+    def test_predict_stack_validates(self, rng):
+        spline = CubicSplineInterpolator().fit(np.arange(4.0), np.ones(4))
+        assert predict_stack([], []) == []
+        with pytest.raises(NotFittedError):
+            predict_stack([CubicSplineInterpolator()], [np.zeros(2)])
+        with pytest.raises(ValidationError, match="query arrays"):
+            predict_stack([spline], [])
 
 
 class TestLinearInterpolator:

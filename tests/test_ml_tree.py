@@ -62,3 +62,26 @@ class TestDecisionTree:
         a = DecisionTreeRegressor(max_features=3, random_state=5).fit(X, y).predict(X)
         b = DecisionTreeRegressor(max_features=3, random_state=5).fit(X, y).predict(X)
         np.testing.assert_allclose(a, b)
+
+    def test_generator_built_only_for_feature_subsets(self, rng, monkeypatch):
+        """A tree over every feature never draws, so it seeds no generator
+        (seeding from None reads OS entropy on every fit)."""
+        from repro.ml import tree as tree_module
+
+        built = []
+        real = tree_module.as_generator
+
+        def spy(seed):
+            built.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(tree_module, "as_generator", spy)
+        X = rng.normal(size=(100, 6))
+        y = X[:, 0] * 2.0
+        DecisionTreeRegressor(max_depth=4).fit(X, y)
+        assert built == []
+        subset = DecisionTreeRegressor(max_features=3, random_state=5).fit(X, y)
+        assert built == [5]  # once per fit, not once per split
+        monkeypatch.setattr(tree_module, "as_generator", real)
+        again = DecisionTreeRegressor(max_features=3, random_state=5).fit(X, y)
+        np.testing.assert_array_equal(subset.predict(X), again.predict(X))

@@ -8,6 +8,7 @@ own subprocess running the real ``python -m repro serve`` entry point.
 import http.client
 import json
 import os
+import queue
 import signal
 import subprocess
 import sys
@@ -20,8 +21,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.obs import parse_prometheus
-from repro.serve import FleetDaemon, ServeConfig
+from repro.obs import MetricsRegistry, parse_prometheus
+from repro.serve import FleetDaemon, ServeConfig, merge
+from repro.serve.merge import encode_record
 from repro.stream import iter_jsonl
 
 FAULT_NODE = "node3"
@@ -131,6 +133,45 @@ def test_ndjson_file_matches_the_stream_contract(daemon):
     # drained at a round boundary: every node's stream ends on end_run
     assert set(last_by_node.values()) == {"end_run"}
     assert len(last_by_node) == daemon.config.nodes
+
+
+def test_stream_lines_equal_the_ndjson_lines_byte_for_byte(daemon):
+    host, port = daemon.address
+    conn = http.client.HTTPConnection(host, port, timeout=60)
+    conn.request("GET", "/stream")
+    streamed = conn.getresponse().read().splitlines()
+    conn.close()
+    assert streamed  # the drained daemon replays every record
+    assert streamed == Path(daemon.config.ndjson).read_bytes().splitlines()
+
+
+def test_collector_encodes_each_record_once(tmp_path, monkeypatch):
+    encoded = []
+
+    def spy(record):
+        encoded.append(record)
+        return encode_record(record)
+
+    monkeypatch.setattr(merge, "encode_record", spy)
+    registry = MetricsRegistry()
+    hub = merge.StreamHub(registry)
+    client = hub.subscribe()
+    ndjson = tmp_path / "stream.jsonl"
+    collector = merge.EventCollector(registry, hub, n_shards=1,
+                                     ndjson=str(ndjson))
+    records = [{"event": "chunk", "node_id": "n0", "seq": seq,
+                "p_node": [101.5, 99.25 + seq]} for seq in range(3)]
+    records.append({"event": "end_run", "node_id": "n0"})
+    events = queue.SimpleQueue()
+    for record in records:
+        events.put((record["event"], 0, time.monotonic(), record))
+    events.put(("done", 0, time.monotonic()))
+    collector.run(events)
+    assert encoded == records
+    published = [client.get_nowait() for _ in records]
+    assert client.get_nowait() is None  # end of stream
+    assert published == [encode_record(r) for r in records]
+    assert ndjson.read_text().splitlines() == published
 
 
 def test_unknown_endpoint_is_404(daemon):

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from repro.core import DynamicTRR, HighRPMConfig, StaticTRR
+from repro.core.static_trr import fit_streams
 from repro.errors import ValidationError
 from repro.hardware import ARM_PLATFORM
+from repro.sensors import IPMISensor
 
 
 @pytest.fixture()
@@ -104,6 +106,45 @@ class TestStaticStream:
             static_trr.fit_stream(
                 small_bundle.pmcs.matrix[:3], ipmi_readings
             )
+
+
+class TestFitStreams:
+    def test_stacked_fit_equals_per_run_fit_stream(self, small_bundle):
+        """Runs fitted in one pass (mixed knot counts, both residual modes,
+        data-driven and fixed limits) restore exactly as fitted alone."""
+        pmcs = small_bundle.pmcs.matrix
+        runs = []
+        for k, (interval, seed, signed, limits) in enumerate([
+            (10, 5, True, True), (10, 6, True, True), (20, 7, False, True),
+            (7, 8, True, False), (30, 9, True, True),
+        ]):
+            readings = IPMISensor(ARM_PLATFORM, interval_s=interval,
+                                  seed=seed).sample(small_bundle)
+            config = HighRPMConfig(miss_interval=interval,
+                                   residual_signed=signed)
+            bounds = dict(p_upper=ARM_PLATFORM.max_node_power_w,
+                          p_bottom=ARM_PLATFORM.min_node_power_w) \
+                if limits else {}
+            runs.append((lambda c=config, b=bounds: StaticTRR(c, **b),
+                         readings))
+        assert len({len(r) for _, r in runs}) >= 3
+        streams = fit_streams([make() for make, _ in runs],
+                              [pmcs[r.indices] for _, r in runs],
+                              [r for _, r in runs])
+        for stream, (make, readings) in zip(streams, runs):
+            alone = make().fit_stream(pmcs[readings.indices], readings)
+            np.testing.assert_array_equal(
+                _stream_restore(stream, pmcs, 64),
+                _stream_restore(alone, pmcs, 64),
+            )
+
+    def test_a_malformed_run_fails_the_pass(self, static_trr, small_bundle,
+                                             ipmi_readings):
+        pmcs = small_bundle.pmcs.matrix
+        with pytest.raises(ValidationError, match="one PMC row per reading"):
+            fit_streams([static_trr, StaticTRR()],
+                        [pmcs[ipmi_readings.indices], pmcs[:3]],
+                        [ipmi_readings, ipmi_readings])
 
 
 class TestOnlineChunks:
