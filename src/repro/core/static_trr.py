@@ -197,19 +197,16 @@ class StaticTRR:
         its outputs is bit-identical to ``fit_restore(...).p_trr`` on the
         same trace.
         """
-        pmcs_rows = check_2d(pmcs_rows, "pmcs_rows")
         return fit_streams([self], [pmcs_rows], [readings])[0]
 
-    def _check_stream_inputs(self, pmcs_rows, readings: SparseReadings
-                             ) -> np.ndarray:
-        pmcs_rows = check_2d(pmcs_rows, "pmcs_rows")
+    def _check_stream_inputs(self, pmcs_rows: np.ndarray,
+                             readings: SparseReadings) -> None:
         self._check_trace(readings, int(readings.n_dense))
         if pmcs_rows.shape[0] != len(readings):
             raise ValidationError(
                 f"fit_stream needs one PMC row per reading: got "
                 f"{pmcs_rows.shape[0]} rows for {len(readings)} readings"
             )
-        return pmcs_rows
 
 
 def fit_streams(trrs, pmcs_rows, readings) -> "list[StaticTRRStream]":
@@ -223,8 +220,9 @@ def fit_streams(trrs, pmcs_rows, readings) -> "list[StaticTRRStream]":
     run's own ``fit_stream``. A malformed run raises before any run is
     fitted.
     """
-    rows = [trr._check_stream_inputs(p, r)
-            for trr, p, r in zip(trrs, pmcs_rows, readings)]
+    rows = [check_2d(p, "pmcs_rows") for p in pmcs_rows]
+    for trr, p, r in zip(trrs, rows, readings):
+        trr._check_stream_inputs(p, r)
     _fit_all(trrs, rows, readings)
     return [StaticTRRStream(trr, r) for trr, r in zip(trrs, readings)]
 

@@ -18,8 +18,10 @@ instead of a few dozen per spline. Every step is elementwise along the
 stack axis, and the Thomas recurrence runs per row on Python floats (the
 same IEEE-754 doubles), so each stacked spline is bitwise equal to fitting
 it alone. :meth:`CubicSplineInterpolator.fit` is the stack of one — there
-is one fit path. :func:`predict_stack` evaluates many fitted splines, each
-at its own query points, in one pass.
+is one fit path. Stacked splines extrapolate linearly (StaticTRR's trend);
+:func:`predict_stack` evaluates many of them, each at its own query
+points, in one pass. Knots must be finite: a NaN knot would otherwise fit
+and predict NaN everywhere.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ import numpy as np
 
 from ..errors import NotFittedError, ValidationError
 from ..utils.validation import check_1d
-
-_EXTRAPOLATE = ("linear", "clamp")
-
 
 def _thomas_solve(off: np.ndarray, diag: np.ndarray,
                   rhs: np.ndarray) -> np.ndarray:
@@ -72,35 +71,36 @@ def _fit_group(x: np.ndarray, y: np.ndarray, extrapolate: str):
     mask. ``c1`` of interval 0 is the first derivative at ``x_0``, which
     below-range queries extrapolate with.
     """
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    if not np.isfinite(np.concatenate((x, y))).all():
         raise ValidationError("spline knots must be finite")
     h = x[:, 1:] - x[:, :-1]
-    if (h <= 0).any():
+    if h.min() <= 0:
         # Slow path: callers with unsorted knots (the common case —
         # reading indices — arrives already ascending and skips the sort).
         order = np.argsort(x, axis=1)
         x = np.take_along_axis(x, order, axis=1)
         y = np.take_along_axis(y, order, axis=1)
         h = x[:, 1:] - x[:, :-1]
-        if (h <= 0).any():
+        if h.min() <= 0:
             raise ValidationError("spline knots must have distinct x values")
     r, n = x.shape
     m = np.zeros((r, n))
+    m0, m1 = m[:, :-1], m[:, 1:]  # views: each interval's left and right knot
     dy = (y[:, 1:] - y[:, :-1]) / h
+    coef = np.zeros((r, 4, n))
+    coef[:, 0] = y
     if n > 2:
         # Interior rows of the tridiagonal system for second derivatives:
         # row k (knot i=k+1): h[k]·M_k + 2(h[k]+h[k+1])·M_{k+1} + h[k+1]·M_{k+2}.
         m[:, 1:-1] = _thomas_solve(h[:, 1:-1], 2.0 * (h[:, :-1] + h[:, 1:]),
                                    6.0 * (dy[:, 1:] - dy[:, :-1]))
-    coef = np.zeros((r, 4, n))
-    coef[:, 0] = y
-    coef[:, 1, :-1] = dy - h * (2.0 * m[:, :-1] + m[:, 1:]) / 6.0
-    coef[:, 2, :-1] = m[:, :-1] / 2.0
-    coef[:, 3, :-1] = (m[:, 1:] - m[:, :-1]) / (6.0 * h)
+        # With two knots m is zero, and so are these (0/2 and 0/(6h)).
+        coef[:, 2, :-1] = m0 / 2.0
+        coef[:, 3, :-1] = (m1 - m0) / (6.0 * h)
+    coef[:, 1, :-1] = dy - h * (2.0 * m0 + m1) / 6.0
     if extrapolate == "linear":
-        # The right-tangent slope at x_{n-1} (dy's last column is the last
-        # interval's secant).
-        coef[:, 1, -1] = dy[:, -1] + h[:, -1] * (2 * m[:, -1] + m[:, -2]) / 6.0
+        # The right-tangent slope at x_{n-1}, from the last interval.
+        coef[:, 1, -1] = (dy + h * (2.0 * m1 + m0) / 6.0)[:, -1]
     return x, y, m, coef
 
 
@@ -117,21 +117,15 @@ def _knots(x, y) -> "tuple[np.ndarray, np.ndarray]":
     return x, y
 
 
-def _check_extrapolate(extrapolate: str) -> None:
-    if extrapolate not in _EXTRAPOLATE:
-        raise ValidationError("extrapolate must be 'linear' or 'clamp'")
-
-
-def fit_stack(knots, extrapolate: str = "linear") -> "list[CubicSplineInterpolator]":
+def fit_stack(knots) -> "list[CubicSplineInterpolator]":
     """Fit one natural spline per ``(x, y)`` knot set, in input order.
 
     Knot sets with equal counts fit as one ``(R, n)`` stack; each spline is
-    bitwise equal to ``CubicSplineInterpolator(extrapolate).fit(x, y)``.
-    Raises :class:`ValidationError` if any set is malformed (fewer than two
-    knots, mismatched lengths, non-finite or repeated ``x``), in which case
-    no spline is returned.
+    bitwise equal to ``CubicSplineInterpolator().fit(x, y)`` (linear
+    extrapolation). Raises :class:`ValidationError` if any set is malformed
+    (fewer than two knots, mismatched lengths, non-finite knots or repeated
+    ``x``), in which case no spline is returned.
     """
-    _check_extrapolate(extrapolate)
     sets = []
     groups: "dict[int, list[int]]" = {}
     for x, y in knots:
@@ -144,17 +138,18 @@ def fit_stack(knots, extrapolate: str = "linear") -> "list[CubicSplineInterpolat
         fitted = _fit_group(
             np.concatenate([sets[i][0] for i in rows]).reshape(-1, n),
             np.concatenate([sets[i][1] for i in rows]).reshape(-1, n),
-            extrapolate,
+            "linear",
         )
         for row, i in enumerate(rows):
-            spline = CubicSplineInterpolator(extrapolate)
+            spline = CubicSplineInterpolator()
             spline._set(*(a[row] for a in fitted))
             out[i] = spline
     return out
 
 
 def predict_stack(splines, queries) -> "list[np.ndarray]":
-    """Evaluate each fitted spline at its own query points, in one pass.
+    """Evaluate each fitted linear-extrapolating spline (as
+    :func:`fit_stack` fits them) at its own query points, in one pass.
 
     Bitwise equal to ``[s.predict(q) for s, q in zip(splines, queries)]``:
     the splines' compiled coefficients are concatenated, each query is
@@ -165,6 +160,8 @@ def predict_stack(splines, queries) -> "list[np.ndarray]":
         return []
     if any(s._x is None for s in splines):
         raise NotFittedError("predict_stack before fit")
+    if any(s.extrapolate != "linear" for s in splines):
+        raise ValidationError("predict_stack needs linear extrapolation")
     queries = [check_1d(np.atleast_1d(q), "xq") for q in queries]
     if len(queries) != len(splines):
         raise ValidationError(
@@ -186,12 +183,8 @@ def predict_stack(splines, queries) -> "list[np.ndarray]":
     below = xq < x[first]
     if below.any():
         start = first[below]
-        y0, slope0 = coef[0, start], coef[1, start]
-        linear = np.repeat([s.extrapolate == "linear" for s in splines],
-                           counts)[below]
-        out[below] = np.where(
-            linear, y0 + slope0 * (xq[below] - x[start]), y0
-        )
+        # c1 of each spline's interval 0 is its first derivative at x_0.
+        out[below] = coef[0, start] + coef[1, start] * (xq[below] - x[start])
     return np.split(out, np.cumsum(counts)[:-1])
 
 
@@ -207,7 +200,8 @@ class CubicSplineInterpolator:
     """
 
     def __init__(self, extrapolate: str = "linear") -> None:
-        _check_extrapolate(extrapolate)
+        if extrapolate not in ("linear", "clamp"):
+            raise ValidationError("extrapolate must be 'linear' or 'clamp'")
         self.extrapolate = extrapolate
         self._x: np.ndarray | None = None
         self._y: np.ndarray | None = None
@@ -227,7 +221,8 @@ class CubicSplineInterpolator:
         """Compute knot second derivatives from sparse readings (the
         :func:`fit_stack` of one)."""
         x, y = _knots(x, y)
-        self._set(*(a[0] for a in _fit_group(x[None], y[None], self.extrapolate)))
+        x, y, m, coef = _fit_group(x[None], y[None], self.extrapolate)
+        self._set(x[0], y[0], m[0], coef[0])
         return self
 
     def _set(self, x, y, m, coef) -> None:

@@ -157,12 +157,11 @@ class FleetMonitor:
         static run's StaticTRR fits in one stacked pass
         (:meth:`_batch_open`); then per run the remaining stages open.
 
-        A run whose stages raise is lost alone: it counts once in
+        A run whose open raises is lost alone: it counts once in
         ``repro_monitor_failed_runs_total``, the other runs still open, and
-        the first such exception re-raises once the pass is done. A raise
-        inside the stacked fit loses every run of the pass that was still
-        opening and propagates at once. An unknown node, or one with a run
-        in flight (or named twice), raises before any run opens.
+        the first such exception re-raises once the pass is done. An
+        unknown node, or one with a run in flight (or named twice), raises
+        before any run opens.
         """
         items = runs.items() if hasattr(runs, "items") else runs
         pending = []  # (context, health counters before the run)
@@ -181,13 +180,10 @@ class FleetMonitor:
         if not pending:
             return
         errors: "list[Exception]" = []
-        at_risk: "set[str]" = set()
-        with self._step("fleet.submit", at_risk):
+        with self._step("fleet.submit", set()):
             pending = [(ctx, before) for ctx, before in pending
                        if self._open(ctx, 0, self._restore_i, errors)]
-            at_risk.update(ctx.node_id for ctx, _ in pending)
             self._batch_open([ctx for ctx, _ in pending])
-            at_risk.clear()
             for ctx, before in pending:
                 if self._open(ctx, self._restore_i, None, errors):
                     self._runs[ctx.node_id] = _FleetRun(
@@ -214,16 +210,22 @@ class FleetMonitor:
 
         Static runs of every device class fit together: the spline stacks
         group by knot count alone, and each run keeps its own model's
-        config, power limits and ResModel."""
+        config, power limits and ResModel. If the stacked fit raises, no
+        restorer is filled: each run then fits on its own in the restore
+        stage, where only the run at fault raises."""
         static = [ctx for ctx in contexts if ctx.mode == "static"]
         if len(static) < 2:
             return  # nothing to stack; the restore stage's own fit is identical
-        with self.service.tracer.span("monitor.restore"):
-            streams = fit_streams(
-                [ctx.model.static_trr() for ctx in static],
-                [ctx.bundle.pmcs.matrix[ctx.readings.indices] for ctx in static],
-                [ctx.readings for ctx in static],
-            )
+        try:
+            with self.service.tracer.span("monitor.restore"):
+                streams = fit_streams(
+                    [ctx.model.static_trr() for ctx in static],
+                    [ctx.bundle.pmcs.matrix[ctx.readings.indices]
+                     for ctx in static],
+                    [ctx.readings for ctx in static],
+                )
+        except Exception:  # the per-run fits find the run at fault
+            return
         for ctx, stream in zip(static, streams):
             ctx.restorer = stream
 

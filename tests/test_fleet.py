@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.dynamic_trr import run_fine_tunes
-from repro.core.static_trr import fit_streams
+from repro.core.static_trr import StaticTRR, fit_streams
 from repro.errors import ConvergenceError, NotFittedError, ValidationError
 from repro.faults import FaultySensor, OutageWindow
 from repro.gpu import AcceleratedNodeSimulator, gpu_workload
@@ -27,7 +27,7 @@ from repro.monitor import (
     SamplingGovernor,
 )
 from repro.monitor import fleet as fleet_module
-from repro.monitor.pipeline import IngestStage
+from repro.monitor.pipeline import GateStage, IngestStage
 from repro.obs import MetricsRegistry
 from repro.perf import CompiledTree, TreeStack, single_tree_of
 from repro.sensors import IPMISensor
@@ -375,32 +375,49 @@ class TestFleetMonitor:
             np.testing.assert_array_equal(want.p_cpu, results[nid].p_cpu)
         assert svc.health("fl-b").runs == svc.health("fl-d").runs == 0
 
-    def test_failed_stacked_fit_loses_every_run_of_its_pass(
+    def test_failed_stacked_fit_loses_only_the_run_at_fault(
         self, chaos_reference, monkeypatch
     ):
+        """A run whose StaticTRR fit raises fails the stacked fit of its
+        pass; every run then fits on its own, so only that run is lost."""
         _, bundle = chaos_reference
         node_ids = ("fl-a", "fl-b", "fl-c")
-        _, svc = _twin_services(chaos_reference, node_ids)
+        seq_svc, svc = _twin_services(chaos_reference, node_ids)
+        bad, stacked = [], []
+        gated, limits = GateStage.open_run, StaticTRR._limits
+
+        def gate(stage, ctx):
+            gated(stage, ctx)
+            if ctx.node_id == "fl-b":
+                bad.append(ctx.readings)
+
+        def invalid_for_b(trr, readings):
+            if any(readings is r for r in bad):
+                raise ValidationError("invalid power limits for fl-b")
+            return limits(trr, readings)
+
+        def fit_spy(trrs, pmcs_rows, readings):
+            stacked.append(len(trrs))
+            return fit_streams(trrs, pmcs_rows, readings)
+
+        monkeypatch.setattr(GateStage, "open_run", gate)
+        monkeypatch.setattr(StaticTRR, "_limits", invalid_for_b)
+        monkeypatch.setattr(fleet_module, "fit_streams", fit_spy)
         fleet = FleetMonitor(svc, chunk_size=16)
-        fleet.submit("fl-a", bundle, online=False)  # an earlier pass
-
-        def broken_fit(trrs, pmcs_rows, readings):
-            raise FloatingPointError("stacked fit failed")
-
-        monkeypatch.setattr(fleet_module, "fit_streams", broken_fit)
-        with pytest.raises(FloatingPointError, match="stacked fit failed"):
-            fleet.submit_all({"fl-b": bundle, "fl-c": bundle}, online=False)
+        with pytest.raises(ValidationError, match="limits for fl-b"):
+            fleet.submit_all({nid: bundle for nid in node_ids}, online=False)
+        assert stacked == [3]
         failed = svc.registry.counter(
             "repro_monitor_failed_runs_total", "", ("node",)
         )
         assert [failed.labels(node=nid).value for nid in node_ids] \
-            == [0.0, 1.0, 1.0]
-        assert fleet.active_nodes == ("fl-a",)
+            == [0.0, 1.0, 0.0]
+        assert fleet.active_nodes == ("fl-a", "fl-c")
         results = fleet.observe_all([])
-        assert set(results) == {"fl-a"} and len(results["fl-a"]) == len(bundle)
-        # A pass of one static run fits on its own and still opens.
-        again = fleet.observe_all({"fl-b": bundle}, online=False)
-        assert len(again["fl-b"]) == len(bundle)
+        for nid in ("fl-a", "fl-c"):
+            want = seq_svc.observe_run(nid, bundle, online=False, chunk_size=16)
+            np.testing.assert_array_equal(want.p_node, results[nid].p_node)
+            np.testing.assert_array_equal(want.p_cpu, results[nid].p_cpu)
 
     def test_submit_all_validates_before_opening_any_run(self, chaos_reference):
         _, bundle = chaos_reference

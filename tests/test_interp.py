@@ -112,34 +112,24 @@ class TestSplineStack:
             x, y = x[order], y[order]
         return x, y
 
-    @pytest.mark.parametrize("extrapolate", ["linear", "clamp"])
-    def test_stack_equals_single_fits_bitwise(self, rng, extrapolate):
+    def test_stack_equals_single_fits_bitwise(self, rng):
         # Mixed knot counts in one call, several sets per count, some
         # shuffled (the sort path) beside sorted ones.
         counts = [2, 3, 4, 5, 6, 180, 4, 6, 2, 180, 3, 5]
         knots = [self._knots(rng, n, shuffled=i % 3 == 1)
                  for i, n in enumerate(counts)]
-        stacked = fit_stack(knots, extrapolate=extrapolate)
+        stacked = fit_stack(knots)
         queries = [_queries(x, rng) for x, _ in knots]
-        singles = [CubicSplineInterpolator(extrapolate).fit(x, y)
-                   for x, y in knots]
+        singles = [CubicSplineInterpolator().fit(x, y) for x, y in knots]
         batched = predict_stack(stacked, queries)
         for single, spline, xq, out in zip(singles, stacked, queries, batched):
-            assert spline.extrapolate == extrapolate
+            assert spline.extrapolate == "linear"
             assert spline._m.tobytes() == single._m.tobytes()
             assert spline._coef.tobytes() == single._coef.tobytes()
             want = single.predict(xq)
             assert spline.predict(xq).tobytes() == want.tobytes()
             assert out.tobytes() == want.tobytes()
 
-    def test_predict_stack_mixes_extrapolation_modes(self, rng):
-        knots = [self._knots(rng, n, shuffled=False) for n in (3, 5)]
-        splines = [CubicSplineInterpolator(mode).fit(x, y)
-                   for mode, (x, y) in zip(("linear", "clamp"), knots)]
-        queries = [_queries(x, rng) for x, _ in knots]
-        for spline, xq, out in zip(splines, queries,
-                                   predict_stack(splines, queries)):
-            assert out.tobytes() == spline.predict(xq).tobytes()
 
     def test_stack_matches_scipy(self, rng):
         knots = [self._knots(rng, n, shuffled=False) for n in (4, 4, 9)]
@@ -156,8 +146,6 @@ class TestSplineStack:
             fit_stack([good, ([1.0], [2.0])])
         with pytest.raises(ValidationError, match="distinct"):
             fit_stack([good, ([0.0, 2.0, 2.0, 3.0], np.ones(4))])
-        with pytest.raises(ValidationError, match="extrapolate"):
-            fit_stack([good], extrapolate="wild")
         assert fit_stack([]) == []
 
     def test_predict_stack_validates(self, rng):
@@ -167,6 +155,9 @@ class TestSplineStack:
             predict_stack([CubicSplineInterpolator()], [np.zeros(2)])
         with pytest.raises(ValidationError, match="query arrays"):
             predict_stack([spline], [])
+        clamped = CubicSplineInterpolator("clamp").fit(np.arange(4.0), np.ones(4))
+        with pytest.raises(ValidationError, match="linear extrapolation"):
+            predict_stack([spline, clamped], [np.zeros(2), np.zeros(2)])
 
 
 class TestLinearInterpolator:
