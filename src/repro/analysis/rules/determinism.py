@@ -12,8 +12,9 @@ two ways this module polices:
   sum the k-axis in different orders, so float results differ in the last
   ulp and the contract breaks. ``CompiledMLP`` runs its forwards through
   unoptimised fixed-order ``np.einsum`` for precisely this reason. RL201
-  flags every matmul-family operation inside the contract modules; an
-  opt-in ``fast_math`` path must carry a suppression naming it.
+  flags every matmul-family operation inside the contract modules; a
+  deliberate exception (a one-shot compile-time constant fold) carries a
+  reasoned suppression.
 * **unordered iteration feeding numeric accumulation**: looping a ``set``
   (hash order) into ``+=``-style accumulation or ``list.append`` makes
   the reduction order depend on ``PYTHONHASHSEED``. RL202 flags it and
@@ -57,19 +58,12 @@ class BitIdentityMatmulRule(Rule):
     description = (
         "No BLAS-order-dependent products (@ / np.dot / np.matmul / "
         "optimized einsum) in modules under the bit-identity contract; "
-        "use fixed-order np.einsum or suppress with a fast_math reason."
+        "use fixed-order np.einsum."
     )
 
     def check(self, ctx: RuleContext) -> Iterator[Diagnostic]:
         modules = tuple(ctx.options.get("modules", BIT_IDENTITY_MODULES))
         if not ctx.in_packages(modules):
-            return
-        # Reasoned allowances: modules implementing the opt-in fast_math
-        # tolerance tier (declared via [tool.repro-lint.rules.<name>]
-        # exempt_modules) host BLAS products by design; everything else
-        # under the contract stays policed.
-        exempt = tuple(ctx.options.get("exempt_modules", ()))
-        if exempt and ctx.in_packages(exempt):
             return
         flow = ctx.flow()
         for node in ast.walk(ctx.tree):
@@ -79,7 +73,7 @@ class BitIdentityMatmulRule(Rule):
                     "'@' runs a BLAS GEMM whose reduction order depends on "
                     "the call shape; chunked and whole-run results differ in "
                     "the last ulp. Use fixed-order np.einsum (see "
-                    "CompiledMLP) or suppress naming the fast_math contract.",
+                    "CompiledMLP).",
                 )
             elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.MatMult):
                 yield self.diagnostic(
@@ -99,7 +93,7 @@ class BitIdentityMatmulRule(Rule):
                 ctx, node,
                 f"np.{fn.attr} dispatches to BLAS whose blocking varies with "
                 "operand shape; under the bit-identity contract use "
-                "fixed-order np.einsum or suppress naming fast_math.",
+                "fixed-order np.einsum.",
             )
             return
         if _is_np(fn.value) and fn.attr == "einsum":

@@ -48,15 +48,6 @@ class HighRPMConfig:
         per-sample provenance flags.
     seed:
         Root seed for all stochastic pieces.
-    fast_math:
-        Opt-in throughput tier: route the compiled inference kernels
-        (SRR MLP, DynamicTRR segment forecaster) through BLAS ``matmul``
-        instead of fixed-order ``einsum``. Results then match the default
-        path only within the documented tolerances
-        (:data:`repro.perf.FAST_MATH_RTOL` / ``FAST_MATH_ATOL``) and the
-        bit-identity chunking contract is relaxed to an allclose contract;
-        everything else — provenance, modes, fine-tune triggers — is
-        unchanged. Default False keeps bit-identical results.
     """
 
     miss_interval: int = 10
@@ -76,7 +67,6 @@ class HighRPMConfig:
     active_rounds: int = 2
     resync_gap_factor: float = 2.0
     seed: int = 0
-    fast_math: bool = False
 
     def __post_init__(self) -> None:
         if self.miss_interval < 2:

@@ -244,9 +244,7 @@ class OnlineTRRSession:
         kernel = self._kernel
         if kernel is None:
             kernel = self._kernel = compile_lstm(
-                self._model, trr.config.miss_interval,
-                fast_math=trr.config.fast_math,
-            )
+                self._model, trr.config.miss_interval)
         deviations = kernel.forecast(rows, m)
         # Physical clamping: a forecast cannot leave the platform range.
         estimates = np.clip(prev_hold + deviations, trr.p_bottom_, trr.p_upper_)

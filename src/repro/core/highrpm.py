@@ -16,7 +16,7 @@ the restored node power to components with SRR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -155,29 +155,6 @@ class HighRPM:
         self.srr = SRR(self.config)
         self._initial_pool: "SamplePool | None" = None
         self._fitted = False
-
-    def set_fast_math(self, flag: bool) -> "HighRPM":
-        """Switch the inference tier (see ``HighRPMConfig.fast_math``).
-
-        ``True`` routes the compiled kernels (SRR MLP forward, DynamicTRR
-        segment forecaster) through BLAS ``matmul``; results then match the
-        exact tier only within :data:`repro.perf.FAST_MATH_RTOL` /
-        ``FAST_MATH_ATOL``. The config is frozen, so the switch installs a
-        replaced config on this model and its sub-models; kernels built
-        afterwards pick up the tier, and an already-compiled SRR forward is
-        re-flagged in place. Online sessions opened *before* the switch
-        keep the tier they were opened under.
-        """
-        flag = bool(flag)
-        if flag != self.config.fast_math:
-            cfg = replace(self.config, fast_math=flag)
-            self.config = cfg
-            self.dynamic_trr.config = cfg
-            self.srr.config = cfg
-        compiled = getattr(self.srr.model_, "_compiled", None)
-        if compiled is not None and hasattr(compiled, "fast_math"):
-            compiled.fast_math = flag
-        return self
 
     # ---------------------------------------------------------------- stage 1
     def fit_initial(self, bundles: Sequence[TraceBundle]) -> "HighRPM":

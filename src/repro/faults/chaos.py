@@ -77,8 +77,8 @@ class ChaosSettings:
     @staticmethod
     def tiny() -> "ChaosSettings":
         """Seconds-sized settings for demos that only need a *live* service
-        (``python -m repro.obs.dump``, the ``repro-bench`` overhead probe) —
-        the model is under-trained and its accuracy is meaningless."""
+        (``python -m repro.obs.dump``) — the model is under-trained and its
+        accuracy is meaningless."""
         return ChaosSettings(
             train_benchmarks=("spec_gcc", "hpcc_stream"),
             train_seconds=60,

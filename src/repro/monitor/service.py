@@ -211,19 +211,11 @@ class PowerMonitorService:
         registry: "MetricsRegistry | None" = None,
         clock=None,
         sinks: "list[Sink] | None" = None,
-        fast_math: "bool | None" = None,
     ) -> None:
         model._require_fitted()
         self.model = model
         self.spec = spec
         self.policy = policy or ResiliencePolicy()
-        # Opt-in fast-math tier: an explicit flag switches the model's
-        # inference tier (HighRPM.set_fast_math); None inherits whatever
-        # tier the model config already selects. See docs/performance.md
-        # ("The fast-math contract") for the tolerance semantics.
-        if fast_math is not None:
-            model.set_fast_math(fast_math)
-        self.fast_math = model.config.fast_math
         # Observability: metrics land in the given registry (default: the
         # ambient one at construction time), pipeline spans are timed with
         # the given clock (default: the process monotonic clock; tests pass
@@ -270,14 +262,11 @@ class PowerMonitorService:
         a :class:`~repro.monitor.profile.GPUSRRHead`. Clamps default to
         the model's fitted power range (the constructor's default class
         additionally falls back to the platform spec). The head's forward
-        is precompiled at the service's inference tier, same as the
-        default class.
+        is precompiled, same as the default class.
         """
         if name in self._classes:
             raise ValidationError(f"device class {name!r} already registered")
         model._require_fitted()
-        if model.config.fast_math != self.fast_math:
-            model.set_fast_math(self.fast_math)
         if head is None:
             head = SRRHead(model.srr)
         lo = model.p_bottom if p_bottom is None else p_bottom
@@ -290,7 +279,7 @@ class PowerMonitorService:
                 f"device class {name!r} needs power clamps: fit the model "
                 f"with p_bottom/p_upper or pass them explicitly"
             )
-        precompile(head.mlp, fast_math=self.fast_math)
+        precompile(head.mlp)
         cls = DeviceClass(name, model, head, float(lo), float(hi))
         self._classes[name] = cls
         return cls

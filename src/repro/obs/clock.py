@@ -7,9 +7,9 @@ dependency injection: everything in :mod:`repro.obs` that can time work
 takes a ``clock`` argument satisfying :class:`Clock` (any zero-argument
 callable returning monotonically non-decreasing seconds) and records no
 duration at all when none is given. Wall-clock access is confined to
-:func:`system_clock`, which orchestration layers (``monitor``, ``faults``,
-``perf.bench``) inject; deterministic tests inject a :class:`ManualClock`
-and advance it by hand.
+:func:`system_clock`, which the orchestration layer (``monitor``)
+injects; deterministic tests inject a :class:`ManualClock` and advance it
+by hand.
 """
 
 from __future__ import annotations

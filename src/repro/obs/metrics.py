@@ -15,7 +15,7 @@ signature raises — silent type drift is how dashboards lie.
 
 The default registry is process-global (:func:`get_registry`), and a
 scoped override (:func:`use_registry`) lets a harness — the chaos sweep,
-``repro-bench``, a test — collect everything emitted inside a ``with``
+the ``obs.dump`` demo, a test — collect everything emitted inside a ``with``
 block into its own registry without threading a handle through every
 layer. See ``docs/observability.md`` for the metric catalog.
 """

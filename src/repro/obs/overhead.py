@@ -14,8 +14,7 @@ of runs it finished and the dense samples they restored.
 The headline figure is the **budget fraction** — self seconds per restored
 sample divided by the sampling period (1 s at the paper's 1 Sa/s) — i.e.
 the share of each monitored second the monitor spends monitoring. It is
-reported in the chaos report, the ``repro-bench`` trajectory, and the
-``python -m repro.obs.dump`` demo.
+reported in the chaos report and the ``python -m repro.obs.dump`` demo.
 
 Like everything in :mod:`repro.obs`, timing is injected: with no clock the
 profiler still counts runs and samples but reports zero seconds
@@ -113,7 +112,7 @@ class OverheadProfiler:
         return self.seconds_per_sample / self.sample_period_s
 
     def report(self) -> "dict[str, float | int | bool]":
-        """JSON-able summary (embedded in chaos and bench reports)."""
+        """JSON-able summary (the chaos report and ``obs.dump`` embed it)."""
         return {
             "clocked": self.clocked,
             "runs": self.runs,
@@ -136,7 +135,7 @@ class OverheadProfiler:
 
 def render_overhead(report: "dict[str, float | int | bool]") -> str:
     """Format a :meth:`OverheadProfiler.report` dict as the one-line figure
-    (shared by the profiler itself, the chaos report, and ``repro-bench``)."""
+    (shared by the profiler itself and the chaos report)."""
     if not report.get("clocked"):
         return (f"self-overhead: unclocked ({report['samples']} samples "
                 f"across {report['runs']} runs)")

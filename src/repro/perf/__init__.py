@@ -1,21 +1,16 @@
-"""Model compilation and benchmark tracking for the inference hot paths.
+"""Model compilation for the inference hot paths.
 
-Two halves:
+:mod:`repro.perf.compile` / :mod:`repro.perf.flat_tree` /
+:mod:`repro.perf.flat_mlp` / :mod:`repro.perf.flat_lstm` convert fitted
+estimators into contiguous-array predictors (vectorised frontier descent
+for trees, stacked batched traversal for ensembles, affine-folded buffered
+forwards for the MLP and the LSTM). The :mod:`repro.ml` estimators build
+these lazily on first ``predict``, so every caller — StaticTRR's ResModel,
+the Table-4/5 baselines, SRR, ``PowerMonitorService.observe_run`` — gets
+the fast path with no API change.
 
-* :mod:`repro.perf.compile` / :mod:`repro.perf.flat_tree` /
-  :mod:`repro.perf.flat_mlp` — convert fitted estimators into
-  contiguous-array predictors (vectorised frontier descent for trees,
-  stacked batched traversal for ensembles, affine-folded buffered forward
-  for the MLP). The :mod:`repro.ml` estimators build these lazily on first
-  ``predict``, so every caller — StaticTRR's ResModel, the Table-4/5
-  baselines, SRR, ``PowerMonitorService.observe_run`` — gets the fast path
-  with no API change.
-* :mod:`repro.perf.bench` — the ``repro-bench`` runner that times the
-  ml/interp microbenches and writes the machine-readable ``BENCH_*.json``
-  regression trajectory.
-
-See ``docs/performance.md`` for the cache-invalidation contract and the
-benchmark protocol.
+See ``docs/performance.md`` for the cache-invalidation contract and for
+how the end-to-end benchmark (``perfbench/``) measures it.
 """
 
 from .batch import TreeStack, single_tree_of
@@ -27,7 +22,6 @@ from .compile import (
     compile_tree,
     precompile,
 )
-from .fastmath import FAST_MATH_ATOL, FAST_MATH_RTOL
 from .flat_lstm import CompiledLSTM, compile_lstm
 from .flat_mlp import CompiledMLP
 from .flat_tree import CompiledBoosting, CompiledForest, CompiledTree, CompiledTreeEnsemble
@@ -39,8 +33,6 @@ __all__ = [
     "CompiledMLP",
     "CompiledTree",
     "CompiledTreeEnsemble",
-    "FAST_MATH_ATOL",
-    "FAST_MATH_RTOL",
     "TreeStack",
     "single_tree_of",
     "compile_boosting",

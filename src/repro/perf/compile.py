@@ -94,18 +94,12 @@ def compile_model(est):
     return compiler(est)
 
 
-def precompile(*estimators, fast_math: "bool | None" = None) -> int:
+def precompile(*estimators) -> int:
     """Eagerly build and cache the compiled form of each supported estimator.
 
     Unsupported or unfitted estimators are skipped (capability-checked, not
     caught), so callers can pass whatever models they hold. Returns the
     number of predictors built.
-
-    ``fast_math`` selects the inference tier for predictors that have one
-    (currently the MLP): ``True`` routes their matmuls through BLAS and
-    relaxes bit-identity to the :data:`repro.perf.FAST_MATH_RTOL` /
-    ``FAST_MATH_ATOL`` allclose contract. ``None`` keeps each predictor's
-    default (the exact tier).
     """
     built = 0
     for est in estimators:
@@ -113,7 +107,5 @@ def precompile(*estimators, fast_math: "bool | None" = None) -> int:
         if compiler is None:
             continue
         est._compiled = compiler(est)
-        if fast_math is not None and hasattr(est._compiled, "fast_math"):
-            est._compiled.fast_math = bool(fast_math)
         built += 1
     return built

@@ -20,9 +20,7 @@ Bit-identity contract: all products run through unoptimised fixed-order
 ``np.einsum`` and all gate math is row-local, so window ``k``'s forecast
 is the same float no matter how the trace is cut into segments — which is
 what keeps ``run_chunk`` outputs bit-identical to ``step``-by-``step``
-execution. The opt-in ``fast_math`` tier (see :mod:`repro.perf.fastmath`)
-routes the projections through BLAS under the documented tolerance
-contract instead.
+execution.
 
 The kernel snapshots (and folds) the model parameters at build time;
 sessions rebuild it after every online fine-tune (the same invalidation
@@ -35,7 +33,6 @@ import numpy as np
 
 from ..errors import NotFittedError
 from ..utils.numeric import sigmoid
-from .fastmath import gemm
 from .telemetry import record_predict
 
 
@@ -49,10 +46,10 @@ class CompiledLSTM:
     """
 
     __slots__ = ("wx", "wh", "b", "head_w", "head_b", "hidden", "layers",
-                 "window", "fast_math")
+                 "window")
 
     def __init__(self, params, head_w, head_b, x_mean, x_scale, y_mean,
-                 y_scale, window: int, fast_math: bool = False) -> None:
+                 y_scale, window: int) -> None:
         inv = 1.0 / np.asarray(x_scale, dtype=np.float64)
         self.wx = [np.array(p["W"], dtype=np.float64) for p in params]
         self.wh = [np.array(p["U"], dtype=np.float64) for p in params]
@@ -68,18 +65,6 @@ class CompiledLSTM:
         self.hidden = int(self.wh[0].shape[0])
         self.layers = len(self.wx)
         self.window = int(window)
-        self.fast_math = bool(fast_math)
-
-    def _project(self, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Input projection of every distinct row / timestep in one product."""
-        if self.fast_math:
-            return gemm(rows, w)
-        return np.einsum("nk,ko->no", rows, w)
-
-    def _recur(self, h: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if self.fast_math:
-            return gemm(h, u)
-        return np.einsum("nk,ko->no", h, u)
 
     def forecast(self, rows: np.ndarray, m: int) -> np.ndarray:
         """Final-step predictions for ``m`` consecutive windows over ``rows``.
@@ -91,15 +76,15 @@ class CompiledLSTM:
         """
         w = self.window
         H = self.hidden
-        record_predict("lstm", "fast" if self.fast_math else "compiled", m)
+        record_predict("lstm", "compiled", m)
         # Layer 0: one projection over the distinct rows; window k's
         # timestep t reads slice row k + t.
-        proj = self._project(rows, self.wx[0]) + self.b[0]
+        proj = np.einsum("nk,ko->no", rows, self.wx[0]) + self.b[0]
         h = np.zeros((m, H))
         c = np.zeros((m, H))
         outs = np.empty((m, w, H)) if self.layers > 1 else None
         for t in range(w):
-            z = proj[t:t + m] + self._recur(h, self.wh[0])
+            z = proj[t:t + m] + np.einsum("nk,ko->no", h, self.wh[0])
             h, c = self._gates(z, c, H)
             if outs is not None:
                 outs[:, t, :] = h
@@ -108,13 +93,13 @@ class CompiledLSTM:
         # all m·w positions in one fixed-order product.
         for layer in range(1, self.layers):
             flat = outs.reshape(m * w, H)
-            proj = (self._project(flat, self.wx[layer])
+            proj = (np.einsum("nk,ko->no", flat, self.wx[layer])
                     + self.b[layer]).reshape(m, w, 4 * H)
             h = np.zeros((m, H))
             c = np.zeros((m, H))
             last = layer == self.layers - 1
             for t in range(w):
-                z = proj[:, t, :] + self._recur(h, self.wh[layer])
+                z = proj[:, t, :] + np.einsum("nk,ko->no", h, self.wh[layer])
                 h, c = self._gates(z, c, H)
                 if not last:
                     outs[:, t, :] = h
@@ -131,7 +116,7 @@ class CompiledLSTM:
         return s[:, 3 * H:] * np.tanh(c), c
 
 
-def compile_lstm(model, window: int, fast_math: bool = False) -> CompiledLSTM:
+def compile_lstm(model, window: int) -> CompiledLSTM:
     """Compile a fitted ``LSTMRegressor`` for width-``window`` segments.
 
     Duck-typed on the fitted attributes (``params_`` with 4-gate cells,
@@ -149,5 +134,4 @@ def compile_lstm(model, window: int, fast_math: bool = False) -> CompiledLSTM:
         y_mean=model._y_mean,
         y_scale=model._y_scale,
         window=window,
-        fast_math=fast_math,
     )

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fastmath import gemm
 from .flat_tree import thread_scratch
 from .telemetry import record_predict
 
@@ -53,8 +52,7 @@ class CompiledMLP:
     input checking, exactly as with the compiled trees.
     """
 
-    __slots__ = ("weights", "biases", "activation", "single_output", "_bufs",
-                 "fast_math")
+    __slots__ = ("weights", "biases", "activation", "single_output", "_bufs")
 
     def __init__(
         self,
@@ -66,7 +64,6 @@ class CompiledMLP:
         y_scale: np.ndarray,
         activation: str,
         single_output: bool,
-        fast_math: bool = False,
     ) -> None:
         inv = 1.0 / np.asarray(x_scale, dtype=np.float64)
         W = [np.array(w, dtype=np.float64) for w in weights]
@@ -74,7 +71,7 @@ class CompiledMLP:
         # repro-lint: disable=bit-identity-matmul — one-shot compile-time
         # constant fold: it runs once with fixed operand shapes, so the BLAS
         # blocking cannot vary across chunk shapes; every chunked forward
-        # then reuses the identical folded bias (fast_math does not apply).
+        # then reuses the identical folded bias.
         b[0] = b[0] - (np.asarray(x_mean) * inv) @ W[0]
         W[0] = W[0] * inv[:, None]
         W[-1] = W[-1] * np.asarray(y_scale)[None, :]
@@ -85,10 +82,6 @@ class CompiledMLP:
         self.single_output = bool(single_output)
         #: hidden-layer scratch, per thread (see ``thread_scratch``).
         self._bufs: "dict[int, tuple[int, list[np.ndarray]]]" = {}
-        #: opt-in tolerance tier: route the layer products through BLAS
-        #: (see repro.perf.fastmath). Mutable so a service can flip one
-        #: shared compiled model; False keeps the bit-identical einsum path.
-        self.fast_math = bool(fast_math)
 
     def _buffers(self, n: int) -> "list[np.ndarray]":
         return thread_scratch(
@@ -97,26 +90,20 @@ class CompiledMLP:
         )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        fast = self.fast_math
-        record_predict("mlp", "fast" if fast else "compiled", X.shape[0])
+        record_predict("mlp", "compiled", X.shape[0])
         bufs = self._buffers(X.shape[0])
         a = X
         last = len(self.weights) - 1
         for li, (w, bias) in enumerate(zip(self.weights, self.biases)):
             out = np.empty((X.shape[0], w.shape[1])) if li == last else bufs[li]
-            if fast:
-                # Opt-in fast-math tier: BLAS GEMM under the tolerance
-                # contract in repro.perf.fastmath.
-                gemm(a, w, out=out)
-            else:
-                # Unoptimised einsum instead of a GEMM: BLAS picks its
-                # blocking (and therefore its summation order) by batch
-                # size, so the same row can round differently in a 17-row
-                # chunk than in the full trace. einsum's sum-of-products
-                # loop reduces k in fixed index order per output element,
-                # which makes predictions bit-identical whether a trace is
-                # pushed through whole, in chunks, or batched across nodes.
-                np.einsum("nk,ko->no", a, w, out=out)
+            # Unoptimised einsum instead of a GEMM: BLAS picks its blocking
+            # (and therefore its summation order) by batch size, so the
+            # same row can round differently in a 17-row chunk than in the
+            # full trace. einsum's sum-of-products loop reduces k in fixed
+            # index order per output element, which makes predictions
+            # bit-identical whether a trace is pushed through whole, in
+            # chunks, or batched across nodes.
+            np.einsum("nk,ko->no", a, w, out=out)
             out += bias
             if li < last:
                 self.activation(out)

@@ -14,6 +14,11 @@ handler's job) sets a shared stop event; every shard finishes its
 in-flight round, pushes a final state, and reports ``done``; the collector
 then closes the ndjson file and end-of-streams every ``/stream`` client.
 ``repro_serve_drain_seconds`` records how long that took.
+
+A process-hosted shard that dies without reporting ``done`` (SIGKILL, the
+OOM killer) cannot drain itself: the daemon notices its exit code, posts
+its ``error`` and ``done`` on its behalf so the drain still completes, and
+reports it ``failed``. It is not restarted.
 """
 
 from __future__ import annotations
@@ -146,6 +151,11 @@ class FleetDaemon:
             ndjson=config.ndjson, keep_results=config.keep_results,
         )
         self._workers: list = []
+        self._events = None
+        #: shard id -> error posted on behalf of a worker that died
+        #: without ``done``; guarded by ``_reap_lock`` (HTTP threads reap).
+        self._dead: "dict[int, str]" = {}
+        self._reap_lock = threading.Lock()
         self._collector_thread: "threading.Thread | None" = None
         self._http: "ServeHTTPServer | None" = None
         self._http_thread: "threading.Thread | None" = None
@@ -190,6 +200,7 @@ class FleetDaemon:
                 )
                 for s in range(config.shards)
             ]
+        self._events = events
         if self._stop_early:
             self._stop.set()
         # Workers first (fork before daemon-side threads exist), then the
@@ -236,6 +247,25 @@ class FleetDaemon:
             self._stop_requested_at = time.monotonic()
             self._stop.set()
 
+    def _reap(self) -> "dict[int, str]":
+        """Fail, once, every worker process that exited without ``done``.
+
+        Its ``error`` and ``done`` go through the event queue like a
+        shard's own, so the collector's drain completes. Returns every
+        shard failed this way so far.
+        """
+        with self._reap_lock:
+            for s, worker in enumerate(self._workers):
+                code = getattr(worker, "exitcode", None)  # threads: none
+                if not code or s in self._dead or s in self.collector.done:
+                    continue
+                message = (f"WorkerDied: shard worker exited with code "
+                           f"{code} before reporting done")
+                self._dead[s] = message
+                self._events.put(("error", s, message))
+                self._events.put(("done", s, time.monotonic()))
+            return dict(self._dead)
+
     def wait(self, timeout: "float | None" = None) -> bool:
         """Block until every shard drained; True when fully drained."""
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -244,6 +274,7 @@ class FleetDaemon:
                 None if deadline is None
                 else max(deadline - time.monotonic(), 0.0)
             )
+        self._reap()
         if self._collector_thread is not None:
             self._collector_thread.join(
                 None if deadline is None
@@ -296,14 +327,16 @@ class FleetDaemon:
     def healthz(self) -> dict:
         """Daemon + per-shard + per-node health as a JSON-safe dict.
 
-        ``status`` is ``failed`` when a shard raised, ``degraded`` when
-        any node left the healthy state, else ``ok``.
+        ``status`` is ``failed`` when a shard raised or its worker process
+        died, ``degraded`` when any node left the healthy state, else
+        ``ok``.
         """
         collector = self.collector
+        errors = {**collector.errors, **self._reap()}
         shards = {}
         for s in range(self.config.shards):
             state = collector.shard_states.get(s)
-            if s in collector.errors:
+            if s in errors:
                 shard_state = "failed"
             elif s in collector.done:
                 shard_state = "drained"
@@ -311,7 +344,7 @@ class FleetDaemon:
                 shard_state = "running" if state is not None else "starting"
             shards[f"s{s}"] = {
                 "state": shard_state,
-                "error": collector.errors.get(s),
+                "error": errors.get(s),
                 "rounds": 0 if state is None else state["rounds"],
                 "nodes": {} if state is None else state["health"],
             }
@@ -320,7 +353,7 @@ class FleetDaemon:
             for shard in shards.values()
             for node in shard["nodes"].values()
         ]
-        if collector.errors:
+        if errors:
             status = "failed"
         elif any(state != HEALTHY for state in node_states):
             status = "degraded"

@@ -6,7 +6,7 @@ everything out: stream records go to the :class:`StreamHub` (live
 health states are kept per shard for ``/metrics`` and ``/healthz``, and
 each event's queue transit time lands in the
 ``repro_serve_merge_latency_seconds`` histogram — the merge-sink latency
-the bench reports.
+perfbench reports as ``serve.merge_latency_ms_mean``.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from repro.ml import (
 )
 from repro.perf import (
     CompiledForest,
+    CompiledLSTM,
     CompiledMLP,
     CompiledTree,
     compile_forest,
@@ -262,3 +263,100 @@ class TestCompileAPI:
         unfitted = DecisionTreeRegressor()
         assert precompile(tree, lin, unfitted) == 1
         assert tree._compiled is not None
+
+
+# ------------------------------------------------- chunking-invariance pins
+# The compiled kernels are built directly from random parameters (no
+# training): the pins are about the forward-pass float ordering, not fits.
+def _make_mlp(rng, d, hidden, n_out):
+    """A compiled MLP with random folded parameters."""
+    dims = [d, *hidden, n_out]
+    weights = [rng.normal(0.0, 0.7, size=(a, b))
+               for a, b in zip(dims[:-1], dims[1:])]
+    biases = [rng.normal(0.0, 0.3, size=b) for b in dims[1:]]
+    return CompiledMLP(
+        weights=weights, biases=biases,
+        x_mean=rng.normal(0.0, 1.0, size=d),
+        x_scale=rng.uniform(0.5, 2.0, size=d),
+        y_mean=rng.normal(0.0, 5.0, size=n_out),
+        y_scale=rng.uniform(0.5, 3.0, size=n_out),
+        activation="relu", single_output=(n_out == 1),
+    )
+
+
+def _make_lstm(rng, d, hidden, layers, window):
+    """A compiled LSTM segment kernel with random folded parameters."""
+    params = []
+    for layer in range(layers):
+        d_in = d if layer == 0 else hidden
+        params.append({
+            "W": rng.normal(0.0, 0.5, size=(d_in, 4 * hidden)),
+            "U": rng.normal(0.0, 0.5, size=(hidden, 4 * hidden)),
+            "b": rng.normal(0.0, 0.1, size=4 * hidden),
+        })
+    return CompiledLSTM(
+        params=params,
+        head_w=rng.normal(0.0, 0.5, size=hidden),
+        head_b=float(rng.normal(0.0, 1.0)),
+        x_mean=rng.normal(0.0, 1.0, size=d),
+        x_scale=rng.uniform(0.5, 2.0, size=d),
+        y_mean=float(rng.normal(50.0, 5.0)),
+        y_scale=float(rng.uniform(0.5, 3.0)),
+        window=window,
+    )
+
+
+@st.composite
+def mlp_cases(draw):
+    seed = draw(st.integers(0, 2**31 - 1))
+    d = draw(st.integers(1, 8))
+    hidden = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    n_out = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 64))
+    cut = draw(st.integers(0, n))
+    return seed, d, hidden, n_out, n, cut
+
+
+@st.composite
+def lstm_cases(draw):
+    seed = draw(st.integers(0, 2**31 - 1))
+    d = draw(st.integers(1, 6))
+    hidden = draw(st.integers(1, 10))
+    layers = draw(st.integers(1, 2))
+    window = draw(st.integers(2, 8))
+    m = draw(st.integers(1, 24))
+    cut = draw(st.integers(1, m))
+    return seed, d, hidden, layers, window, m, cut
+
+
+class TestCompiledMLPChunking:
+    @settings(max_examples=40, deadline=None)
+    @given(mlp_cases())
+    def test_default_tier_chunking_bitwise(self, case):
+        """Regression pin: the einsum forward keeps chunking bit-identical."""
+        seed, d, hidden, n_out, n, cut = case
+        rng = np.random.default_rng(seed)
+        exact = _make_mlp(rng, d, hidden, n_out)
+        X = rng.normal(0.0, 1.5, size=(n, d))
+        whole = exact.predict(X)
+        parts = [p for p in (X[:cut], X[cut:]) if p.shape[0]]
+        chunked = np.concatenate([exact.predict(p) for p in parts])
+        assert np.array_equal(whole, chunked)
+
+
+class TestCompiledLSTMSegments:
+    @settings(max_examples=40, deadline=None)
+    @given(lstm_cases())
+    def test_default_tier_segment_split_bitwise(self, case):
+        """Regression pin: the einsum tier is bitwise segment-invariant —
+        the property ``run_chunk`` vs ``step`` bit-identity rests on."""
+        seed, d, hidden, layers, window, m, cut = case
+        rng = np.random.default_rng(seed)
+        exact = _make_lstm(rng, d, hidden, layers, window)
+        rows = rng.normal(0.0, 1.0, size=(m + window - 1, d))
+        whole = exact.forecast(rows, m)
+        first = exact.forecast(rows[:cut + window - 1], cut)
+        parts = [first]
+        if cut < m:
+            parts.append(exact.forecast(rows[cut:], m - cut))
+        assert np.array_equal(whole, np.concatenate(parts))

@@ -7,6 +7,7 @@ own subprocess running the real ``python -m repro serve`` entry point.
 
 import http.client
 import json
+import multiprocessing as mp
 import os
 import queue
 import signal
@@ -268,6 +269,64 @@ def test_serve_cli_parser_wires_the_subcommand():
     assert args.func.__name__ == "cmd_serve"
     assert (args.nodes, args.shards, args.processes) == (16, 4, True)
     assert args.fault == ["node2=dropout"]
+
+
+# ------------------------------------------------------------ dead worker
+def _healthz_body(daemon):
+    """(HTTP status, JSON body) of /healthz, 503 included."""
+    try:
+        with _get(daemon, "/healthz") as resp:
+            return resp.status, json.load(resp)
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.load(exc)
+
+
+def test_sigkilled_shard_reads_failed_and_does_not_block_the_drain(
+        serve_model, tmp_path):
+    """A SIGKILLed process-hosted shard posts neither ``error`` nor
+    ``done``: /healthz must read it failed (503) and the drain must still
+    complete, with the surviving shard's streams ending on ``end_run``."""
+    ndjson = tmp_path / "stream.jsonl"
+    config = ServeConfig(
+        nodes=2, shards=2, runs=0, run_seconds=30, chunk_size=8, port=0,
+        processes=True, ndjson=str(ndjson),
+    )
+    d = FleetDaemon(config, model=serve_model)
+    d.start()
+    try:
+        deadline = time.monotonic() + 120
+        while time.monotonic() < deadline:
+            _, body = _healthz_body(d)
+            if all(info["rounds"] >= 1 for info in body["shards"].values()):
+                break
+            time.sleep(0.2)
+        else:
+            pytest.fail("shards reported no finished round before timeout")
+        (pid,) = [p.pid for p in mp.active_children()
+                  if p.name == "repro-serve-shard1"]
+        os.kill(pid, signal.SIGKILL)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            status, body = _healthz_body(d)
+            if body["status"] == "failed":
+                break
+            time.sleep(0.2)
+        else:
+            pytest.fail(f"killed shard still reads alive: {body}")
+        assert status == 503
+        assert body["shards"]["s1"]["state"] == "failed"
+        assert "code -9" in body["shards"]["s1"]["error"]
+        assert body["shards"]["s0"]["error"] is None
+    finally:
+        drained = d.stop(timeout=120)
+    assert drained
+    last_by_node = {}
+    for record in iter_jsonl(ndjson):
+        last_by_node[record["node_id"]] = record["event"]
+    survivors = [f"node{i}" for i in range(config.nodes)
+                 if config.shard_of(i) == 0]
+    assert survivors
+    assert all(last_by_node[node] == "end_run" for node in survivors)
 
 
 # ---------------------------------------------------------------- SIGTERM
