@@ -35,8 +35,8 @@ from .scheduler import (
     node_phase,
     thin_readings,
 )
-from .service import MonitorLog, PowerMonitorService
-from .sinks import MemoryLogSink
+from .service import PowerMonitorService
+from .sinks import MemoryLogSink, MonitorLog
 
 __all__ = [
     "Anomaly",

@@ -64,7 +64,7 @@ class ObservationContext(RunContext):
         #: and sliced per chunk (None until then / for model-only runs).
         self.provenance_full: "np.ndarray | None" = None
         #: sinks receiving this run's finished chunks.
-        self.sinks = service.sinks_for(node_id)
+        self.sinks = service.sinks
 
     def fail_or_degrade(self, degrade_reason: str, strict_record: str,
                         strict_exc: Exception, cause: "Exception | None" = None):

@@ -1,6 +1,6 @@
 """Operator reports from monitoring logs.
 
-Turns a :class:`~repro.monitor.service.MonitorLog` (or raw restored arrays)
+Turns a :class:`~repro.monitor.sinks.MonitorLog` (or raw restored arrays)
 into the text report an operator actually reads: per-run energy and peak,
 anomaly summary, and terminal sparklines. Everything is plain text so it
 can be mailed from a cron job on a head node.
@@ -16,7 +16,7 @@ from ..errors import ValidationError
 from ..eval.ascii_plot import sparkline, strip_chart
 from ..types import PowerTrace
 from .anomaly import PowerAnomalyDetector
-from .service import MonitorLog
+from .sinks import MonitorLog
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ applies so monitoring *degrades* instead of erroring. Three mechanisms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import TransientSensorError, ValidationError
@@ -105,13 +105,11 @@ class NodeHealth:
     model_only_runs: int = 0
     degraded_runs: int = 0
     last_error: "str | None" = None
-    history: list = field(default_factory=list)
 
     def record_healthy_run(self) -> None:
         self.runs += 1
         self.consecutive_failures = 0
         self.status = HEALTHY
-        self.history.append(HEALTHY)
 
     def record_degraded_run(self, reason: str) -> None:
         self.runs += 1
@@ -119,7 +117,6 @@ class NodeHealth:
         self.consecutive_failures = 0
         self.status = DEGRADED
         self.last_error = reason
-        self.history.append(DEGRADED)
 
     def record_outage_run(self, reason: str) -> None:
         self.runs += 1
@@ -128,7 +125,6 @@ class NodeHealth:
         self.consecutive_failures += 1
         self.status = OUTAGE
         self.last_error = reason
-        self.history.append(OUTAGE)
 
     def record_transient(self, error: Exception, backoff_s: float) -> None:
         self.transient_failures += 1

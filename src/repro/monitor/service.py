@@ -3,8 +3,10 @@
 The paper deploys HighRPM "as a service on the control node ... shared with
 other computing nodes" (§4.1). :class:`PowerMonitorService` is that service:
 one trained HighRPM instance, many registered nodes, each with its own
-sensors; ``observe_run`` ingests a node's run and appends restored
-high-resolution estimates to that node's log.
+sensors; ``observe_run`` ingests a node's run and streams its restored
+high-resolution estimates to the service's sinks. The service keeps none
+of them: a caller that wants the samples in memory attaches a
+:class:`~repro.monitor.sinks.MemoryLogSink`.
 
 The IM feed is the unreliable half of the paper's fusion, so ``observe_run``
 is defensive end to end (see :mod:`repro.monitor.resilience` and
@@ -12,11 +14,13 @@ is defensive end to end (see :mod:`repro.monitor.resilience` and
 backoff, implausible readings are gated against the Algorithm-1 power
 clamps, and a dead feed — a full outage, a run shorter than the IM
 interval, or a fully-gated stream — degrades to model-only restoration
-with every sample flagged in the log's provenance channel instead of
+with every sample flagged in the provenance channel instead of
 failing the run.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -27,13 +31,7 @@ from ..calib import (
     estimate_calibration,
     estimate_drift_calibration,
 )
-from ..core.highrpm import (
-    PROV_MEASURED,
-    PROV_MODEL_ONLY,
-    PROV_RESTORED,
-    HighRPM,
-    MonitorResult,
-)
+from ..core.highrpm import HighRPM, MonitorResult
 from ..errors import ValidationError
 from ..hardware.platform import PlatformSpec
 from ..obs import (
@@ -61,136 +59,6 @@ from .profile import (
 )
 from .resilience import NodeHealth, ResiliencePolicy, sample_with_retry
 from .scheduler import SamplingGovernor
-from .sinks import MemoryLogSink
-
-class MonitorLog:
-    """Accumulated restored estimates for one node.
-
-    Chunks are accumulated in per-channel lists and consolidated lazily on
-    first read, so logging R runs costs O(total samples) — the old
-    eager-concatenate append re-copied every logged sample per run
-    (O(R²) over a node's lifetime).
-    """
-
-    def __init__(self, node_id: str) -> None:
-        self.node_id = node_id
-        self.runs: list[str] = []
-        self.modes: list[str] = []
-        self._parts: "dict[str, list[np.ndarray]]" = {
-            "p_node": [], "p_cpu": [], "p_mem": [], "p_gpu": [],
-            "provenance": [],
-        }
-        self._n = 0
-
-    # ------------------------------------------------- chunked ingestion
-    def append_chunk(self, chunk) -> None:
-        """Append one restored chunk's channels (no run boundary).
-
-        The streaming pipeline's memory sink calls this per finished
-        chunk; :meth:`end_run` closes the run.
-        """
-        self._append_arrays(chunk.p_node, chunk.p_cpu, chunk.p_mem,
-                            chunk.provenance, chunk.p_gpu)
-
-    def end_run(self, workload: str, mode: str) -> None:
-        """Record a run boundary after its chunks were appended."""
-        self.runs.append(workload)
-        self.modes.append(mode)
-
-    def append(self, result: MonitorResult, workload: str) -> None:
-        """Whole-run append (one implicit chunk plus the run boundary)."""
-        self._append_arrays(result.p_node, result.p_cpu, result.p_mem,
-                            result.provenance, result.p_gpu)
-        self.end_run(workload, result.mode)
-
-    def _append_arrays(self, p_node, p_cpu, p_mem, prov, p_gpu=None) -> None:
-        n = int(p_node.shape[0])
-        checks = [("p_cpu", p_cpu), ("p_mem", p_mem)]
-        if p_gpu is not None:
-            checks.append(("p_gpu", p_gpu))
-        for name, arr in checks:
-            got = 0 if arr is None else int(arr.shape[0])
-            if got != n:
-                raise ValidationError(
-                    f"monitor result is inconsistent: {name} has "
-                    f"{got} samples, p_node has {n}"
-                )
-        if prov is None:
-            prov = np.full(n, PROV_RESTORED, dtype=np.uint8)
-        elif prov.shape[0] != n:
-            raise ValidationError(
-                f"monitor result is inconsistent: provenance has "
-                f"{prov.shape[0]} samples, p_node has {n}"
-            )
-        self._parts["p_node"].append(np.asarray(p_node, dtype=np.float64))
-        self._parts["p_cpu"].append(np.asarray(p_cpu, dtype=np.float64))
-        self._parts["p_mem"].append(np.asarray(p_mem, dtype=np.float64))
-        # CPU-only chunks log zero accelerator power, keeping every channel
-        # aligned sample-for-sample across heterogeneous fleets.
-        self._parts["p_gpu"].append(
-            np.zeros(n) if p_gpu is None
-            else np.asarray(p_gpu, dtype=np.float64)
-        )
-        self._parts["provenance"].append(prov.astype(np.uint8))
-        self._n += n
-
-    # ---------------------------------------------------- lazy read side
-    def _channel(self, name: str) -> np.ndarray:
-        parts = self._parts[name]
-        if not parts:
-            return np.empty(0, dtype=np.uint8 if name == "provenance"
-                            else np.float64)
-        if len(parts) > 1:  # consolidate once; later appends re-extend
-            self._parts[name] = parts = [np.concatenate(parts)]
-        return parts[0]
-
-    @property
-    def p_node(self) -> np.ndarray:
-        return self._channel("p_node")
-
-    @property
-    def p_cpu(self) -> np.ndarray:
-        return self._channel("p_cpu")
-
-    @property
-    def p_mem(self) -> np.ndarray:
-        return self._channel("p_mem")
-
-    @property
-    def p_gpu(self) -> np.ndarray:
-        """Accelerator channel (all-zero for CPU-only device classes)."""
-        return self._channel("p_gpu")
-
-    @property
-    def provenance(self) -> np.ndarray:
-        return self._channel("provenance")
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def model_only_mask(self) -> np.ndarray:
-        """True where the logged estimate ran without a usable IM anchor."""
-        return self.provenance == PROV_MODEL_ONLY
-
-    def model_only_fraction(self) -> float:
-        """Share of logged samples produced without IM backing."""
-        if len(self) == 0:
-            return 0.0
-        return float(self.model_only_mask.mean())
-
-    def summary(self) -> "dict[str, object]":
-        """Headline counters for one node's log (runs, sample provenance)."""
-        prov = self.provenance
-        return {
-            "node_id": self.node_id,
-            "runs": len(self.runs),
-            "samples": len(self),
-            "measured": int((prov == PROV_MEASURED).sum()),
-            "restored": int((prov == PROV_RESTORED).sum()),
-            "model_only": int((prov == PROV_MODEL_ONLY).sum()),
-            "model_only_fraction": self.model_only_fraction(),
-        }
 
 
 class PowerMonitorService:
@@ -236,16 +104,14 @@ class PowerMonitorService:
         self.register_device_class(DEFAULT_DEVICE_CLASS, model)
         self._nodes: dict[str, IPMISensor] = {}
         self._profiles: "dict[str, NodeProfile]" = {}
-        self._logs: dict[str, MonitorLog] = {}
         self._health: dict[str, NodeHealth] = {}
         #: optional overhead-adaptive sampling controller (see set_governor).
         self._governor: "SamplingGovernor | None" = None
         #: per-node compensation transforms (absent = uncalibrated feed);
         #: applied by the pipeline's calibrate stage before the gate.
         self._calibration: "dict[str, CompensationTransform]" = {}
-        #: extra sinks shared by every node (each node's in-memory log is
-        #: always attached in front of these).
-        self._sinks: "list[Sink]" = list(sinks) if sinks else []
+        #: sinks every node's finished chunks flow into, in order.
+        self.sinks: "list[Sink]" = list(sinks) if sinks else []
 
     # ------------------------------------------------------ device classes
     def register_device_class(
@@ -323,18 +189,11 @@ class PowerMonitorService:
             )
         self._nodes[node_id] = sensor
         self._profiles[node_id] = profile
-        self._logs[node_id] = MonitorLog(node_id)
         self._health[node_id] = NodeHealth(node_id)
 
     @property
     def node_ids(self) -> tuple[str, ...]:
         return tuple(self._nodes)
-
-    def log(self, node_id: str) -> MonitorLog:
-        try:
-            return self._logs[node_id]
-        except KeyError:
-            raise ValidationError(f"unknown node {node_id!r}") from None
 
     def sensor(self, node_id: str) -> IPMISensor:
         """The IM sensor registered for one node."""
@@ -350,10 +209,6 @@ class PowerMonitorService:
             return self._health[node_id]
         except KeyError:
             raise ValidationError(f"unknown node {node_id!r}") from None
-
-    def sinks_for(self, node_id: str) -> list:
-        """The sinks one node's finished chunks flow into (log first)."""
-        return [MemoryLogSink(self._logs[node_id]), *self._sinks]
 
     # -------------------------------------------------------- calibration
     def set_calibration(
@@ -443,26 +298,21 @@ class PowerMonitorService:
 
     # ----------------------------------------------------- cluster budget
     def cluster_allocations(
-        self, cap_w: float, demands: "dict[str, float] | None" = None
+        self, cap_w: float, demands: "Mapping[str, float]"
     ) -> dict[str, float]:
         """Water-fill one facility cap across the registered (mixed) fleet.
 
         Each node's floor and ceiling come from its device class's power
         clamps, so a 340 W GPU node and a 90 W CPU node compete for the
-        same budget on honest terms. ``demands`` overrides per-node demand
-        in watts; nodes not named default to their latest restored power
-        (their class floor when nothing has been logged yet).
+        same budget on honest terms. ``demands`` gives per-node demand in
+        watts; a node it does not name demands its class floor.
         """
         if not self._nodes:
             raise ValidationError("no nodes registered")
         entries = []
         for node_id in self._nodes:
             lo, hi = self.device_class_of(node_id).clamps
-            if demands is not None and node_id in demands:
-                want = float(demands[node_id])
-            else:
-                log = self._logs[node_id]
-                want = float(log.p_node[-1]) if len(log) else lo
+            want = float(demands.get(node_id, lo))
             entries.append(NodeDemand(node_id, min(max(want, lo), hi), lo, hi))
         return ClusterPowerBudget(cap_w).allocate(entries)
 

@@ -1,10 +1,10 @@
 """Pluggable sinks: where fully-restored chunks go.
 
-The monitor's in-memory :class:`~repro.monitor.service.MonitorLog` is one
-implementation (wrapped by ``repro.monitor.sinks.MemoryLogSink``); the
-:class:`JsonlSink` here streams the same records to an append-only JSONL
-file so a long-lived service can persist restored traces without holding
-them. A sink sees every finished chunk in trace order via ``write`` and a
+The service keeps no restored samples itself; its sinks decide where they
+go. :class:`JsonlSink` here streams them to an append-only JSONL file, so
+a long-lived service can persist restored traces without holding them;
+the opt-in in-memory log (:class:`~repro.monitor.sinks.MemoryLogSink`)
+keeps them for callers that read them back. A sink sees every finished chunk in trace order via ``write`` and a
 run boundary via ``end_run``.
 """
 

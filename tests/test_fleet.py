@@ -21,6 +21,7 @@ from repro.ml.tree import DecisionTreeRegressor
 from repro.monitor import (
     FleetMonitor,
     GPUSRRHead,
+    MemoryLogSink,
     NodeProfile,
     PowerMonitorService,
     ResiliencePolicy,
@@ -102,17 +103,19 @@ class TestPredictBatched:
 
 def _twin_services(chaos_reference, node_ids, dead=(), policy=None,
                    sinks=None, outages=None, gpu=None):
-    """Two identical services; ``dead`` nodes' feeds never answer and
-    ``outages`` maps a node to the window its feed goes silent in. With
-    ``gpu`` (a trained ``(HighRPM, GPUSRR)`` pair), nodes named ``gpu-*``
-    join a GPU device class and both services run a sampling governor."""
+    """Two identical services, each logging into its own MemoryLogSink
+    (read with ``_log``) in front of ``sinks``; ``dead`` nodes' feeds never
+    answer and ``outages`` maps a node to the window its feed goes silent
+    in. With ``gpu`` (a trained ``(HighRPM, GPUSRR)`` pair), nodes named
+    ``gpu-*`` join a GPU device class and both services run a sampling
+    governor."""
     reference, _ = chaos_reference
     outages = outages or {}
     services = []
     for _ in range(2):
         svc = PowerMonitorService(reference.model, reference.spec,
                                   policy=policy, registry=MetricsRegistry(),
-                                  sinks=sinks)
+                                  sinks=[MemoryLogSink(), *(sinks or [])])
         if gpu is not None:
             svc.register_device_class("gpu", gpu[0], head=GPUSRRHead(gpu[1]))
             svc.set_governor(SamplingGovernor(
@@ -137,6 +140,11 @@ def _twin_services(chaos_reference, node_ids, dead=(), policy=None,
                 svc.register_node(nid, seed=400 + i)
         services.append(svc)
     return services
+
+
+def _log(svc, node_id):
+    """One node's log in the MemoryLogSink ``_twin_services`` attaches."""
+    return svc.sinks[0].log(node_id)
 
 
 def _online_counts(svc) -> tuple:
@@ -271,8 +279,8 @@ class TestFleetMonitor:
                     np.testing.assert_array_equal(want.p_gpu, got.p_gpu)
                 np.testing.assert_array_equal(want.provenance, got.provenance)
                 assert want.mode == got.mode
-            np.testing.assert_array_equal(seq_svc.log(nid).p_node,
-                                          fleet_svc.log(nid).p_node)
+            np.testing.assert_array_equal(_log(seq_svc, nid).p_node,
+                                          _log(fleet_svc, nid).p_node)
 
     def test_failed_tick_loses_only_the_runs_it_was_carrying(
         self, chaos_reference
@@ -308,7 +316,7 @@ class TestFleetMonitor:
         results = fleet.observe_all([])
         assert set(results) == {"fl-a"}
         assert len(results["fl-a"]) == len(bundle)
-        assert len(svc.log("fl-a")) == len(bundle)
+        assert len(_log(svc, "fl-a")) == len(bundle)
         assert failed.labels(node="fl-a").value == 0.0
         # the lost runs never reach end-of-run bookkeeping
         assert svc.health("fl-b").runs == svc.health("fl-c").runs == 0

@@ -9,6 +9,7 @@ from repro.hardware import ARM_PLATFORM, NodeSimulator
 from repro.monitor import (
     CappingPolicy,
     EnergyAccount,
+    MemoryLogSink,
     PowerCapController,
     PowerMonitorService,
     energy_of,
@@ -116,36 +117,40 @@ class TestRunCapped:
 
 class TestMonitorService:
     @pytest.fixture(scope="class")
-    def service(self, arm_sim, catalog):
+    def memlog(self):
+        return MemoryLogSink()
+
+    @pytest.fixture(scope="class")
+    def service(self, arm_sim, catalog, memlog):
         names = ["spec_gcc", "spec_mcf", "hpcc_hpl", "hpcc_stream"]
         train = [arm_sim.run(catalog.get(n), duration_s=120) for n in names]
         cfg = HighRPMConfig(lstm_iters=200, srr_iters=1500, seed=5)
         hr = HighRPM(cfg, p_bottom=ARM_PLATFORM.min_node_power_w,
                      p_upper=ARM_PLATFORM.max_node_power_w)
         hr.fit_initial(train)
-        return PowerMonitorService(hr, ARM_PLATFORM)
+        return PowerMonitorService(hr, ARM_PLATFORM, sinks=[memlog])
 
-    def test_register_and_observe(self, service, small_bundle):
+    def test_register_and_observe(self, service, memlog, small_bundle):
         service.register_node("n0", seed=1)
         result = service.observe_run("n0", small_bundle, online=False)
         assert len(result) == len(small_bundle)
-        assert len(service.log("n0")) == len(small_bundle)
-        assert service.log("n0").runs == [small_bundle.workload]
+        assert len(memlog.log("n0")) == len(small_bundle)
+        assert memlog.log("n0").runs == [small_bundle.workload]
 
-    def test_multi_node_logs_separate(self, service, small_bundle):
+    def test_multi_node_logs_separate(self, service, memlog, small_bundle):
         service.register_node("n1", seed=2)
         service.observe_run("n1", small_bundle, online=False)
-        assert len(service.log("n1")) == len(small_bundle)
+        assert len(memlog.log("n1")) == len(small_bundle)
 
     def test_duplicate_registration_rejected(self, service):
         with pytest.raises(ValidationError):
             service.register_node("n0")
 
-    def test_unknown_node_rejected(self, service, small_bundle):
+    def test_unknown_node_rejected(self, service, memlog, small_bundle):
         with pytest.raises(ValidationError):
             service.observe_run("ghost", small_bundle)
-        with pytest.raises(ValidationError):
-            service.log("ghost")
+        with pytest.raises(ValidationError, match="ghost"):
+            memlog.log("ghost")
 
     def test_requires_fitted_model(self):
         with pytest.raises(Exception):

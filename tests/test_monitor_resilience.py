@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core import PROV_MODEL_ONLY, PROV_RESTORED
-from repro.core.highrpm import MonitorResult
 from repro.errors import SensorOutageError, TransientSensorError, ValidationError
 from repro.faults import FaultySensor, OutageWindow
 from repro.hardware import ARM_PLATFORM, NodeSimulator
@@ -18,12 +17,25 @@ from repro.monitor import (
     DEGRADED,
     HEALTHY,
     OUTAGE,
+    MemoryLogSink,
+    MonitorLog,
     NodeHealth,
+    PowerMonitorService,
     ResiliencePolicy,
 )
 from repro.monitor.resilience import gate_readings, sample_with_retry
 from repro.sensors import IPMISensor, SparseReadings
+from repro.stream import PowerChunk
 from repro.workloads import default_catalog
+
+
+def _logged_service(chaos_reference):
+    """A fresh service over the shared model, logging into a MemoryLogSink."""
+    reference, _ = chaos_reference
+    memlog = MemoryLogSink()
+    service = PowerMonitorService(reference.model, reference.spec,
+                                  sinks=[memlog])
+    return service, memlog
 
 
 def readings_stream(values):
@@ -62,7 +74,6 @@ class TestNodeHealth:
         assert h.status == OUTAGE and h.consecutive_failures == 1
         h.record_healthy_run()
         assert h.status == HEALTHY and h.consecutive_failures == 0
-        assert h.history == [DEGRADED, OUTAGE, HEALTHY]
         assert h.runs == 3 and h.outages == 1 and h.degraded_runs == 1
 
 
@@ -147,38 +158,35 @@ class TestGateReadings:
             gate_readings(readings_stream([80.0]), 110.0, 60.0, 0.1)
 
 
+def _chunk(p_node, p_cpu, p_mem, provenance=None):
+    return PowerChunk(
+        node_id="n0", workload="w", start=0, stop=len(p_node),
+        mode="static", p_node=p_node, p_cpu=p_cpu, p_mem=p_mem,
+        provenance=provenance,
+    )
+
+
 class TestMonitorLogValidation:
     def test_append_rejects_length_mismatch(self):
-        from repro.monitor.service import MonitorLog
-
         log = MonitorLog("n0")
-        bad = MonitorResult(
-            p_node=np.ones(10), p_cpu=np.ones(9), p_mem=np.ones(10), mode="static"
-        )
+        bad = _chunk(np.ones(10), np.ones(9), np.ones(10))
         with pytest.raises(ValidationError, match="p_cpu"):
-            log.append(bad, "w")
-        bad_prov = MonitorResult(
-            p_node=np.ones(10), p_cpu=np.ones(10), p_mem=np.ones(10),
-            mode="static", provenance=np.zeros(4, dtype=np.uint8),
-        )
+            log.append_chunk(bad)
+        bad_prov = _chunk(np.ones(10), np.ones(10), np.ones(10),
+                          provenance=np.zeros(4, dtype=np.uint8))
         with pytest.raises(ValidationError, match="provenance"):
-            log.append(bad_prov, "w")
+            log.append_chunk(bad_prov)
         assert len(log) == 0 and log.runs == []
 
     def test_append_fills_missing_provenance(self):
-        from repro.monitor.service import MonitorLog
-
         log = MonitorLog("n0")
-        log.append(
-            MonitorResult(np.ones(5), np.ones(5), np.ones(5), mode="static"), "w"
-        )
+        log.append_chunk(_chunk(np.ones(5), np.ones(5), np.ones(5)))
+        log.end_run("w", "static")
         assert (log.provenance == PROV_RESTORED).all()
         assert log.modes == ["static"]
         assert log.model_only_fraction() == 0.0
 
     def test_empty_log_fraction(self):
-        from repro.monitor.service import MonitorLog
-
         assert MonitorLog("n0").model_only_fraction() == 0.0
 
 
@@ -192,7 +200,6 @@ class TestServiceErrorPaths:
     def test_unknown_node_everywhere(self, chaos_reference):
         service, bundle = chaos_reference
         for call in (
-            lambda: service.log("res-nope"),
             lambda: service.health("res-nope"),
             lambda: service.observe_run("res-nope", bundle),
             lambda: service.adapt("res-nope", bundle),
@@ -216,21 +223,19 @@ class TestShortBundle:
             IPMISensor(ARM_PLATFORM, seed=1).sample(tiny_bundle)
 
     def test_default_policy_degrades_with_flag(self, chaos_reference, tiny_bundle):
-        service, _ = chaos_reference
+        service, memlog = _logged_service(chaos_reference)
         service.register_node("res-short")
         result = service.observe_run("res-short", tiny_bundle)
         assert result.mode == "model_only"
         assert len(result) == len(tiny_bundle)
         assert result.model_only_mask.all()
-        log = service.log("res-short")
+        log = memlog.log("res-short")
         assert log.model_only_fraction() == 1.0
         health = service.health("res-short")
         assert health.status == OUTAGE
         assert "too short" in health.last_error
 
     def test_strict_policy_raises_clear_error(self, chaos_reference, tiny_bundle):
-        from repro.monitor import PowerMonitorService
-
         service, _ = chaos_reference
         strict = PowerMonitorService(
             service.model, service.spec,
@@ -249,7 +254,8 @@ class TestMidRunOutage:
 
     @pytest.fixture(scope="class")
     def outage_run(self, chaos_reference):
-        service, bundle = chaos_reference
+        _, bundle = chaos_reference
+        service, memlog = _logged_service(chaos_reference)
         n = len(bundle)
         start, dur = n // 3, n // 3
         sensor = FaultySensor(
@@ -259,24 +265,24 @@ class TestMidRunOutage:
         )
         service.register_node("res-outage", sensor=sensor)
         result = service.observe_run("res-outage", bundle, online=True)
-        return service, bundle, result, (start, start + dur)
+        return service, memlog, bundle, result, (start, start + dur)
 
     def test_completes_and_flags_outage_samples(self, outage_run):
-        service, bundle, result, (t0, t1) = outage_run
+        service, memlog, bundle, result, (t0, t1) = outage_run
         assert len(result) == len(bundle)
         assert np.isfinite(result.p_node).all()
         # Deep inside the outage window the provenance must say model-only...
         mid = (t0 + t1) // 2
         assert result.provenance[mid] == PROV_MODEL_ONLY
         # ...and the log carries the same flags.
-        log = service.log("res-outage")
+        log = memlog.log("res-outage")
         tail = log.model_only_mask[-len(bundle):]
         assert tail.any()
         assert set(np.flatnonzero(tail)) <= set(range(t0 - 25, t1 + 25))
         assert service.health("res-outage").status == DEGRADED
 
     def test_outage_mape_within_2x_healthy(self, outage_run):
-        _, bundle, result, (t0, t1) = outage_run
+        _, _, bundle, result, (t0, t1) = outage_run
         truth = bundle.node.values
         window = np.zeros(len(bundle), dtype=bool)
         window[t0:t1] = True
@@ -308,7 +314,8 @@ class TestMidRunOutage:
 
 class TestDeadFeed:
     def test_whole_run_outage_goes_model_only(self, chaos_reference):
-        service, bundle = chaos_reference
+        _, bundle = chaos_reference
+        service, memlog = _logged_service(chaos_reference)
         sensor = FaultySensor(
             IPMISensor(ARM_PLATFORM, seed=41),
             faults=[OutageWindow(0, 100 * len(bundle))],
@@ -320,11 +327,9 @@ class TestDeadFeed:
         assert result.model_only_mask.all()
         health = service.health("res-dead")
         assert health.status == OUTAGE and health.outages == 1
-        assert service.log("res-dead").model_only_fraction() == 1.0
+        assert memlog.log("res-dead").model_only_fraction() == 1.0
 
     def test_strict_policy_raises_on_outage(self, chaos_reference):
-        from repro.monitor import PowerMonitorService
-
         service, bundle = chaos_reference
         strict = PowerMonitorService(
             service.model, service.spec,

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import PROV_MEASURED, PROV_MODEL_ONLY, PROV_RESTORED
 from repro.faults.inject import FaultySensor
-from repro.monitor import FleetMonitor
+from repro.monitor import FleetMonitor, MemoryLogSink, PowerMonitorService
 from repro.obs import parse_prometheus, render_prometheus
 from repro.sensors.ipmi import IPMISensor
 
@@ -82,10 +82,13 @@ class TestObserveRunMetrics:
         assert service.health("obs-flaky").retries == 2
 
     def test_log_summary_matches_provenance(self, service_and_bundle):
-        service, bundle = service_and_bundle
+        reference, bundle = service_and_bundle
+        memlog = MemoryLogSink()
+        service = PowerMonitorService(reference.model, reference.spec,
+                                      sinks=[memlog])
         service.register_node("obs-summary")
         result = service.observe_run("obs-summary", bundle)
-        summary = service.log("obs-summary").summary()
+        summary = memlog.log("obs-summary").summary()
         assert summary["runs"] == 1
         assert summary["samples"] == len(result)
         assert summary["measured"] + summary["restored"] \

@@ -2,10 +2,19 @@
 
 import pytest
 
-from repro.core.highrpm import MonitorResult
 from repro.errors import ValidationError
+from repro.monitor import MonitorLog
 from repro.monitor.report import render_node_report, summarise_runs
-from repro.monitor.service import MonitorLog
+from repro.stream import PowerChunk
+
+
+def log_run(log, workload, mode, p_node, p_cpu, p_mem):
+    """Log one run as a single chunk plus its run boundary."""
+    log.append_chunk(PowerChunk(
+        node_id=log.node_id, workload=workload, start=0, stop=len(p_node),
+        mode=mode, p_node=p_node, p_cpu=p_cpu, p_mem=p_mem,
+    ))
+    log.end_run(workload, mode)
 
 
 @pytest.fixture()
@@ -16,7 +25,7 @@ def log(rng):
         p_node = level + rng.normal(0, 1.0, n)
         p_cpu = p_node * 0.5
         p_mem = p_node * 0.2
-        log.append(MonitorResult(p_node, p_cpu, p_mem, mode="dynamic"), name)
+        log_run(log, name, "dynamic", p_node, p_cpu, p_mem)
     return log
 
 
@@ -47,7 +56,7 @@ class TestSummaries:
         log = MonitorLog("n")
         p = 80.0 + rng.normal(0, 0.5, 200)
         p[100] += 25.0
-        log.append(MonitorResult(p, p * 0.5, p * 0.2, mode="static"), "spiky")
+        log_run(log, "spiky", "static", p, p * 0.5, p * 0.2)
         s = summarise_runs(log)[0]
         assert s.n_spikes >= 1
 

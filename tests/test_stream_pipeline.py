@@ -164,30 +164,61 @@ class TestJsonlSink:
         assert len(list(iter_jsonl(path))) == 2
 
 
+def _restored(node_id, workload, start, values, mode="dynamic"):
+    """A finished chunk of ``values`` as restored node power."""
+    n = len(values)
+    return PowerChunk(
+        node_id=node_id, workload=workload, start=start, stop=start + n,
+        mode=mode, p_node=np.asarray(values, dtype=np.float64),
+        p_cpu=np.zeros(n), p_mem=np.zeros(n),
+        provenance=np.full(n, 2, dtype=np.uint8),
+    )
+
+
 class TestMemoryLogSink:
     def test_feeds_monitor_log(self):
-        log = MonitorLog("n0")
-        sink = MemoryLogSink(log)
-        sink.write(PowerChunk(
-            node_id="n0", workload="fft", start=0, stop=3, seq=0,
-            mode="dynamic", p_node=np.array([1.0, 2.0, 3.0]),
-            p_cpu=np.zeros(3), p_mem=np.zeros(3),
-            provenance=np.full(3, 2, dtype=np.uint8),
-        ))
+        sink = MemoryLogSink()
+        sink.write(_restored("n0", "fft", 0, [1.0, 2.0, 3.0]))
         sink.end_run("n0", "fft", "dynamic")
+        log = sink.log("n0")
         assert log.runs == ["fft"] and log.modes == ["dynamic"]
         assert len(log) == 3
         np.testing.assert_array_equal(log.p_node, [1.0, 2.0, 3.0])
+
+    def test_interleaved_nodes_land_in_separate_logs(self):
+        sink = MemoryLogSink()
+        sink.write(_restored("a", "fft", 0, [1.0, 2.0]))
+        sink.write(_restored("b", "gcc", 0, [10.0], mode="static"))
+        sink.write(_restored("a", "fft", 2, [3.0]))
+        sink.end_run("a", "fft", "dynamic")
+        sink.write(_restored("b", "gcc", 1, [11.0, 12.0], mode="static"))
+        sink.end_run("b", "gcc", "static")
+        sink.write(_restored("a", "mcf", 0, [4.0]))
+        sink.end_run("a", "mcf", "dynamic")
+        a, b = sink.log("a"), sink.log("b")
+        assert a.node_id == "a" and b.node_id == "b"
+        np.testing.assert_array_equal(a.p_node, [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(b.p_node, [10.0, 11.0, 12.0])
+        assert a.runs == ["fft", "mcf"] and a.modes == ["dynamic", "dynamic"]
+        assert b.runs == ["gcc"] and b.modes == ["static"]
+
+    def test_run_boundary_alone_creates_the_log(self):
+        sink = MemoryLogSink()
+        sink.end_run("n0", "fft", "model_only")
+        assert sink.log("n0").runs == ["fft"] and len(sink.log("n0")) == 0
+
+    def test_unknown_node_rejected(self):
+        sink = MemoryLogSink()
+        sink.write(_restored("n0", "fft", 0, [1.0]))
+        with pytest.raises(ValidationError, match="ghost"):
+            sink.log("ghost")
 
 
 class TestMonitorLogChunked:
     def test_many_appends_consolidate_lazily(self):
         log = MonitorLog("n0")
         for i in range(50):
-            log._append_arrays(
-                np.full(2, float(i)), np.zeros(2), np.zeros(2),
-                np.full(2, 2, dtype=np.uint8),
-            )
+            log.append_chunk(_restored("n0", "fft", 2 * i, [float(i)] * 2))
         assert len(log._parts["p_node"]) == 50
         assert len(log) == 100
         assert log.p_node.shape == (100,)

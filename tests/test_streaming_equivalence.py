@@ -16,7 +16,7 @@ import pytest
 from repro.calib import IDENTITY, CompensationTransform
 from repro.core import HighRPM
 from repro.faults import FaultySensor, GainDrift, OutageWindow
-from repro.monitor import FleetMonitor, PowerMonitorService
+from repro.monitor import FleetMonitor, MemoryLogSink, PowerMonitorService
 from repro.sensors import IPMISensor
 from repro.stream import JsonlSink, iter_jsonl
 
@@ -32,7 +32,8 @@ EQ_TRANSFORM = CompensationTransform(
 
 
 def _twin_services(chaos_reference, n=2, dead=False, calibrate=None):
-    """n fresh same-seed services over the shared trained model.
+    """n fresh same-seed services over the shared trained model, each
+    logging into its own MemoryLogSink (``svc.sinks[0]``).
 
     ``calibrate`` registers the same transform (a faulted feed underneath,
     so the compensation has something to undo) on every twin; pass
@@ -41,7 +42,8 @@ def _twin_services(chaos_reference, n=2, dead=False, calibrate=None):
     reference, _ = chaos_reference
     services = []
     for _ in range(n):
-        svc = PowerMonitorService(reference.model, reference.spec)
+        svc = PowerMonitorService(reference.model, reference.spec,
+                                  sinks=[MemoryLogSink()])
         if dead:
             svc.register_node("eq-node", sensor=FaultySensor(
                 IPMISensor(reference.spec, seed=41),
@@ -87,10 +89,10 @@ def test_chunked_equals_whole_run(chaos_reference, online, dead, chunk_size):
     if dead:
         assert whole.mode == "model_only"
     _assert_identical(whole, chunked)
-    np.testing.assert_array_equal(
-        whole_svc.log("eq-node").p_node, chunk_svc.log("eq-node").p_node
-    )
-    assert whole_svc.log("eq-node").modes == chunk_svc.log("eq-node").modes
+    whole_log = whole_svc.sinks[0].log("eq-node")
+    chunk_log = chunk_svc.sinks[0].log("eq-node")
+    np.testing.assert_array_equal(whole_log.p_node, chunk_log.p_node)
+    assert whole_log.modes == chunk_log.modes
     assert (whole_svc.health("eq-node").status
             == chunk_svc.health("eq-node").status)
 
@@ -325,8 +327,9 @@ def test_mixed_fleet_sharded_equals_single_process(
 def test_jsonl_sink_mirrors_the_memory_log(chaos_reference, tmp_path):
     reference, bundle = chaos_reference
     path = tmp_path / "chunks.jsonl"
+    memlog = MemoryLogSink()
     svc = PowerMonitorService(reference.model, reference.spec,
-                              sinks=[JsonlSink(path)])
+                              sinks=[JsonlSink(path), memlog])
     svc.register_node("eq-node", seed=33)
     svc.observe_run("eq-node", bundle, chunk_size=50)
     records = list(iter_jsonl(path))
@@ -334,4 +337,4 @@ def test_jsonl_sink_mirrors_the_memory_log(chaos_reference, tmp_path):
     assert records[-1]["event"] == "end_run"
     assert [r["start"] for r in chunks] == sorted(r["start"] for r in chunks)
     streamed = np.concatenate([r["p_node"] for r in chunks])
-    np.testing.assert_array_equal(streamed, svc.log("eq-node").p_node)
+    np.testing.assert_array_equal(streamed, memlog.log("eq-node").p_node)
