@@ -27,7 +27,12 @@ A record fails, naming each offending (workload, metric), when
   than 0, or lacks an end-to-end metric;
 * for any end-to-end metric, the change median is worse than the parent
   median by more than the metric's ``bound`` (a fraction of the parent
-  median), judged in the metric's ``better`` direction.
+  median), judged in the metric's ``better`` direction;
+* the record claims a gain — ``"claim": {"metric": M, "workload": W}`` —
+  and the change median of end-to-end metric ``M`` on workload ``W`` does
+  not beat the parent median in ``M``'s ``better`` direction. A claim
+  naming a metric or workload that ``BENCHMARK.json`` does not declare is
+  a usage error. Records without a claim are not checked for one.
 
 Exit status: 0 when every record passes, 1 when any fails, 2 on a usage
 error.
@@ -53,6 +58,53 @@ def regression(parent: float, change: float, better: str) -> float:
     if worse <= 0:
         return 0.0
     return worse / abs(parent) if parent else float("inf")
+
+
+class UsageError(Exception):
+    """A record the gate cannot judge: its claim names an unknown metric
+    or workload."""
+
+
+def median(runs: list, name: str) -> "float | None":
+    """The median of metric ``name`` over ``runs``; None if there is no
+    run or a run lacks it."""
+    values = [run.get("metrics", {}).get(name, {}).get("value") for run in runs]
+    if not values or any(v is None for v in values):
+        return None
+    return statistics.median(values)
+
+
+def check_claim(record: dict, benchmark: dict) -> "tuple[list[str], list[str]]":
+    """Gate a record's claimed gain, if it makes one; returns (report
+    lines, failure messages). Raises :class:`UsageError` on a claim that
+    names no end-to-end metric or workload of ``benchmark``."""
+    claim = record.get("claim")
+    if claim is None:
+        return [], []
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
+    workloads = {w["name"] for w in benchmark["workloads"]}
+    if (not isinstance(claim, dict) or claim.get("metric") not in metrics
+            or claim.get("workload") not in workloads):
+        raise UsageError(
+            f"claim {claim!r} must name an end-to-end metric and a workload "
+            f"of BENCHMARK.json"
+        )
+    name, workload = claim["metric"], claim["workload"]
+    sides = (record.get("workloads") or {}).get(workload) or {}
+    medians = {side: median(sides.get(side) or [], name) for side in SIDES}
+    if None in medians.values():
+        return [], [f"claim: {workload}, {name} has no median on both sides"]
+    parent, change = medians["parent"], medians["change"]
+    better = metrics[name]["better"]
+    met = change > parent if better == "higher" else change < parent
+    gain = (change - parent) / abs(parent) if parent else float("inf")
+    line = (f"  claim: {workload} {name} {parent:.6g} -> {change:.6g} "
+            f"({gain:+.1%}, {better} is better)  {'met' if met else 'NOT MET'}")
+    if met:
+        return [line], []
+    return [line], [f"claim: {workload}, {name}: change median {change:.6g} "
+                    f"does not beat parent median {parent:.6g} ({better} is "
+                    f"better)"]
 
 
 def check_record(record: dict, benchmark: dict) -> "tuple[list[str], list[str]]":
@@ -86,13 +138,11 @@ def check_record(record: dict, benchmark: dict) -> "tuple[list[str], list[str]]"
             name = metric["name"]
             medians = {}
             for side in SIDES:
-                values = [run.get("metrics", {}).get(name, {}).get("value")
-                          for run in runs[side]]
-                if any(v is None for v in values):
+                medians[side] = median(runs[side], name)
+                if medians[side] is None:
                     failures.append(f"{workload}, {name}: missing from a "
                                     f"{side} run")
                     break
-                medians[side] = statistics.median(values)
             else:
                 worse = regression(medians["parent"], medians["change"],
                                    metric["better"])
@@ -110,7 +160,8 @@ def check_record(record: dict, benchmark: dict) -> "tuple[list[str], list[str]]"
                         f"parent median {medians['parent']:.6g} (bound "
                         f"{metric['bound']:.0%})"
                     )
-    return lines, failures
+    claim_lines, claim_failures = check_claim(record, benchmark)
+    return lines + claim_lines, failures + claim_failures
 
 
 def main(argv: "list[str]") -> int:
@@ -125,7 +176,11 @@ def main(argv: "list[str]") -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return 2
-        lines, failures = check_record(record, benchmark)
+        try:
+            lines, failures = check_record(record, benchmark)
+        except UsageError as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 2
         print(f"{path}:")
         for line in lines:
             print(line)

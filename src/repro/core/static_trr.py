@@ -26,12 +26,19 @@ is recorded in DESIGN.md.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from ..errors import ValidationError
-from ..interp.spline import CubicSplineInterpolator, fit_stack, predict_stack
+from ..interp.spline import (
+    CubicSplineInterpolator,
+    SplineStack,
+    fit_stack,
+    predict_stack,
+)
 from ..ml.tree import DecisionTreeRegressor
 from ..obs import current_tracer
 from ..perf import precompile
@@ -285,8 +292,7 @@ def _fit_trends(factories, knots) -> list:
 
 def _predict_trends(models, queries) -> list:
     """Each trend model at its own queries; default splines in one pass."""
-    stacked = [i for i, m in enumerate(models)
-               if type(m) is CubicSplineInterpolator]
+    stacked = [i for i, m in enumerate(models) if _stackable(m)]
     preds = [None] * len(models)
     for i, pred in zip(stacked, predict_stack([models[i] for i in stacked],
                                               [queries[i] for i in stacked])):
@@ -298,133 +304,46 @@ def _predict_trends(models, queries) -> list:
 
 
 class _FusionScan:
-    """Streaming, bit-exact replay of :meth:`StaticTRR._post_process`.
+    """One run's state in the streaming, bit-exact replay of
+    :meth:`StaticTRR._post_process` (see :func:`restore_streams`).
 
     Operation 1 is the only non-elementwise step of Algorithm 1: a hold at
     sample ``i`` copies the (already mutated) spline level across the
     window ``[i − half, i + half)``, and later holds read earlier holds'
-    writes. The scan keeps a working buffer of not-yet-final spline values
-    and applies holds in global ascending order — forward writes that spill
-    past the fed frontier are queued in ``_pending`` and land before the
+    writes. The scan keeps the not-yet-final span ``[emitted, fed)`` of the
+    working spline values and of the original residual estimates, and
+    applies holds in global ascending order — forward writes that spill
+    past the fed frontier are queued in ``pending`` and land before the
     next chunk's own holds. A position is final once every hold that can
     reach it has been applied, i.e. with a lag of ``half`` samples behind
     the feed. Operations 2/3, the agreement-band fusion, the clip and the
     measured-sample override are elementwise and run at finalisation.
     """
 
+    __slots__ = ("half", "band", "thresh", "idx", "marks", "vals", "n",
+                 "fed", "emitted", "sel", "w_tail", "r_tail", "pending")
+
     def __init__(self, config: HighRPMConfig, lo: float, hi: float,
                  readings: SparseReadings) -> None:
-        self._half = config.miss_interval // 2
-        self._alpha = config.alpha
-        self._beta = config.beta
-        self._thresh = config.spike_fraction * (hi - lo)
-        self._lo = lo
-        self._hi = hi
-        self._idx = readings.indices
-        self._vals = readings.values
+        self.half = config.miss_interval // 2
+        #: the power clamps and the α/β agreement-band factors.
+        self.band = (lo, hi, config.alpha, config.beta)
+        self.thresh = config.spike_fraction * (hi - lo)
+        self.idx = readings.indices
+        #: the reading positions as ints, for a bisect per pass.
+        self.marks = self.idx.tolist()
+        self.vals = readings.values
         self.n = int(readings.n_dense)
         self.fed = 0
         self.emitted = 0
-        # Preallocated working buffers for the span [emitted, fed): index 0
-        # maps to ``emitted``. Sized to chunk + half on first feed and then
-        # sliced, never reallocated, per feed (the span never exceeds the
-        # finalisation lag ``half`` plus one chunk); only a larger chunk
-        # forces a regrow.
-        self._buf_len = 0  # valid prefix of the working buffers
-        self._w_buf = np.empty(0)  # working spline values
-        self._res_buf = np.empty(0)  # original residual estimates
+        #: readings before ``emitted`` (already written over their samples).
+        self.sel = 0
+        #: working spline values and original residual estimates of the
+        #: unfinalised span ``[emitted, fed)``.
+        self.w_tail = np.empty(0)
+        self.r_tail = np.empty(0)
         #: forward hold writes beyond the fed frontier, in hold order.
-        self._pending: "list[tuple[int, int, float]]" = []
-
-    # repro-lint: disable=boundary-validation — hot path (called once per
-    # fed chunk): inputs are the stream's own spline/residual predictions,
-    # already shaped by StaticTRRStream which validated the caller's chunk.
-    def feed(self, p_splined: np.ndarray, p_residual: np.ndarray
-             ) -> tuple[int, np.ndarray]:
-        """Advance the scan by one chunk; returns the newly final span."""
-        start = self.fed
-        stop = start + p_splined.shape[0]
-        if stop > self.n:
-            raise ValidationError(
-                f"fed {stop} samples into a {self.n}-sample trace"
-            )
-        base = self.emitted
-        m = p_splined.shape[0]
-        need = self._buf_len + m
-        if need > self._w_buf.shape[0]:
-            grown = max(need, m + self._half)
-            w_new = np.empty(grown)
-            res_new = np.empty(grown)
-            w_new[:self._buf_len] = self._w_buf[:self._buf_len]
-            res_new[:self._buf_len] = self._res_buf[:self._buf_len]
-            self._w_buf, self._res_buf = w_new, res_new
-        w = self._w_buf
-        w[self._buf_len:need] = p_splined
-        self._res_buf[self._buf_len:need] = p_residual
-        self._buf_len = need
-        # Earlier chunks' holds whose windows spill into (or past) this span.
-        still_pending = []
-        for w_start, w_stop, v in self._pending:
-            w[w_start - base:min(w_stop, stop) - base] = v
-            if w_stop > stop:
-                still_pending.append((stop, w_stop, v))
-        self._pending = still_pending
-        # Operation 1 over the newly fed span, ascending — each hold reads
-        # the working buffer, so earlier holds' writes propagate exactly as
-        # in the in-place reference loop.
-        mutation = p_residual - p_splined
-        # repro-lint: disable=per-sample-loop — ascending in-place hold
-        # propagation is the bit-identity reference semantics (overlapping
-        # holds must see earlier writes); O(spikes) per chunk, not O(samples).
-        for i in np.flatnonzero(np.abs(mutation) >= self._thresh) + start:
-            v = w[i - base]
-            w_start = max(0, i - self._half)
-            w_stop = min(self.n, i + self._half)
-            w[w_start - base:min(w_stop, stop) - base] = v
-            if w_stop > stop:
-                self._pending.append((stop, w_stop, v))
-        self.fed = stop
-        return self._finalize(max(base, stop - self._half))
-
-    def flush(self) -> tuple[int, np.ndarray]:
-        """Finalise the trailing ``half`` samples once the trace is fed."""
-        if self.fed != self.n:
-            raise ValidationError(
-                f"flush before the trace is complete: fed {self.fed} of {self.n}"
-            )
-        return self._finalize(self.n)
-
-    def _finalize(self, to: int) -> tuple[int, np.ndarray]:
-        base = self.emitted
-        if to <= base:
-            return base, np.empty(0)
-        k = to - base
-        w = self._w_buf[:k]
-        r = self._res_buf[:k].copy()
-        # Operations 2 & 3: out-of-range ResModel output is distrusted.
-        out_of_range = (r >= self._hi) | (r <= self._lo)
-        r[out_of_range] = w[out_of_range]
-        # Fusion by agreement band (spline wins outside the mid band).
-        gap = np.abs(w - r)
-        floor = np.minimum(np.abs(w), np.abs(r))
-        mid = (gap > self._alpha * floor) & (gap <= self._beta * floor)
-        p_trr = np.where(mid, 0.5 * (w + r), w)
-        # In-place two-sided clamp (ufuncs directly; same result as np.clip
-        # for lo <= hi, without the dispatch wrapper on the per-chunk path).
-        np.minimum(p_trr, self._hi, out=p_trr)
-        np.maximum(p_trr, self._lo, out=p_trr)
-        # Observed instants keep their readings — they are measurements.
-        sel_lo = int(self._idx.searchsorted(base, side="left"))
-        sel_hi = int(self._idx.searchsorted(to, side="left"))
-        p_trr[self._idx[sel_lo:sel_hi] - base] = self._vals[sel_lo:sel_hi]
-        # Shift the unfinalised tail to the buffer head (overlap-safe
-        # left-moving copy) instead of reallocating.
-        tail = self._buf_len - k
-        self._w_buf[:tail] = self._w_buf[k:self._buf_len]
-        self._res_buf[:tail] = self._res_buf[k:self._buf_len]
-        self._buf_len = tail
-        self.emitted = to
-        return base, p_trr
+        self.pending: "list[tuple[int, int, float]]" = []
 
 
 class StaticTRRStream:
@@ -435,20 +354,26 @@ class StaticTRRStream:
     miss-interval (an Operation-1 hold at ``i`` rewrites ``[i − half,
     i + half)``, so a sample is final only once the scan has advanced
     ``half`` samples past it). :meth:`finish` flushes the tail. State is
-    O(chunk + miss_interval) regardless of trace length.
+    O(chunk + miss_interval) regardless of trace length. Both are the
+    :func:`restore_streams` of one.
     """
 
     def __init__(self, trr: StaticTRR, readings: SparseReadings) -> None:
         self._trr = trr
         self.n = int(readings.n_dense)
         self._scan = _FusionScan(trr.config, trr._lo, trr._hi, readings)
-        # Bind the trend model's compiled evaluator once per run: every
-        # chunk evaluates the same fitted spline at indices this stream
-        # generates itself, so the per-call validation in ``predict`` is
-        # pure overhead. Pluggable trend models without a compiled
-        # evaluator fall back to their public predict.
-        get_eval = getattr(trr.spline_, "evaluator", None)
-        self._trend_eval = get_eval() if get_eval is not None else trr.spline_.predict
+        self._unsigned = not trr.config.residual_signed
+        # The default spline trend evaluates in spline stacks; a pluggable
+        # trend model is called on its own, through its compiled evaluator
+        # when it has one (every query is an index range this stream
+        # generates itself, so predict's validation is pure overhead).
+        spline = trr.spline_
+        self._spline = spline if _stackable(spline) else None
+        get_eval = getattr(spline, "evaluator", None)
+        self._trend_eval = get_eval() if get_eval is not None else spline.predict
+        #: the SplineStack this run last evaluated in (reused while the
+        #: stack's members stay the same).
+        self._spline_stack: "SplineStack | None" = None
 
     @property
     def samples_fed(self) -> int:
@@ -464,63 +389,260 @@ class StaticTRRStream:
         """Feed the next chunk; returns ``(start, p_trr_part)`` finalised.
 
         ``residual_hat`` optionally supplies the raw ResModel prediction
-        for the chunk (the fleet monitor batches it across nodes); it must
-        equal ``res_model_.predict(pmc_chunk)``.
+        for the chunk; it must equal ``res_model_.predict(pmc_chunk)``.
         """
-        pmc_chunk = check_2d(pmc_chunk, "pmc_chunk")
-        trr = self._trr
-        start = self._scan.fed
-        stop = start + pmc_chunk.shape[0]
-        if stop > self.n:
-            raise ValidationError(
-                f"chunk [{start}, {stop}) overruns the {self.n}-sample trace"
-            )
-        tracer = current_tracer()
-        t = np.arange(start, stop, dtype=np.float64)
-        with tracer.span("trr.spline"):
-            p_splined = self._trend_eval(t)
-        with tracer.span("trr.resmodel"):
-            if residual_hat is None:
-                residual_hat = trr.res_model_.predict(pmc_chunk)
-            else:
-                residual_hat = np.asarray(residual_hat, dtype=np.float64)
-                if residual_hat.shape != (pmc_chunk.shape[0],):
-                    raise ValidationError(
-                        f"residual_hat has shape {residual_hat.shape}, "
-                        f"expected ({pmc_chunk.shape[0]},)"
-                    )
-            if not trr.config.residual_signed:
-                residual_hat = residual_hat * np.sign(
-                    self._trend_gradient(start, stop) + 1e-12
-                )
-            p_residual = p_splined + residual_hat
-        with tracer.span("trr.fusion"):
-            return self._scan.feed(p_splined, p_residual)
+        return restore_streams([self], [pmc_chunk], [False], [residual_hat])[0]
 
     def finish(self) -> tuple[int, np.ndarray]:
         """Flush the trailing half-window once the whole trace is fed."""
-        with current_tracer().span("trr.fusion"):
-            return self._scan.flush()
+        return restore_streams([self], [np.empty((0, 0))], [True])[0]
 
-    def _trend_gradient(self, start: int, stop: int) -> np.ndarray:
-        """``np.gradient`` of the dense spline trend, restricted to a span.
 
-        Bit-identical to ``np.gradient(spline.predict(arange(n)))[start:stop]``:
-        one extra spline point on each side supplies the centred differences,
-        and the trace edges fall back to the same one-sided differences.
-        """
-        if stop == start:
-            return np.empty(0)
-        n = self.n
-        a = max(0, start - 1)
-        b = min(n, stop + 1)
-        s = self._trend_eval(np.arange(a, b, dtype=np.float64))
-        pos = np.arange(start, stop) - a
-        left = np.maximum(pos - 1, 0)
-        right = np.minimum(pos + 1, b - 1 - a)
-        g = (s[right] - s[left]) / 2.0
-        if start == 0:
-            g[0] = s[1] - s[0]
-        if stop == n:
-            g[-1] = s[-1] - s[-2]
-        return g
+def restore_streams(streams, pmc_chunks, finals, residual_hats=None
+                    ) -> "list[tuple[int, np.ndarray]]":
+    """:meth:`StaticTRRStream.restore_chunk` for many runs in one pass.
+
+    ``streams``, ``pmc_chunks`` and ``finals`` are parallel sequences, one
+    entry per run (each stream at most once); ``residual_hats`` optionally
+    supplies each chunk's raw ResModel prediction (``None`` entries are
+    predicted here). A run whose ``finals`` entry is true must be fed to
+    its end by its chunk, and is flushed in the same pass, as if
+    :meth:`~StaticTRRStream.finish` followed. Returns each run's newly
+    final ``(start, p_trr_part)``, bitwise equal to the run's own
+    ``restore_chunk`` (then ``finish``) output.
+
+    Every run's default spline trend evaluates in one
+    :class:`~repro.interp.spline.SplineStack` (cached on the streams while
+    the member set is unchanged); the Operation-1 spike mask is computed
+    for every run at once, and holds propagate per run only where a spike
+    or a spilled hold is; the final spans are fused in one elementwise
+    pass with each run's limits and thresholds broadcast over its samples.
+    A malformed entry raises before any run advances.
+    """
+    if residual_hats is None:
+        residual_hats = [None] * len(streams)
+    if not len(streams) == len(pmc_chunks) == len(finals) == len(residual_hats):
+        raise ValidationError(
+            f"restore_streams needs one chunk, final flag and residual entry "
+            f"per stream: got {len(streams)} streams, {len(pmc_chunks)} "
+            f"chunks, {len(finals)} flags, {len(residual_hats)} residuals"
+        )
+    if len({id(stream) for stream in streams}) != len(streams):
+        raise ValidationError("restore_streams got a stream more than once")
+    chunks, hats = [], []
+    for stream, chunk, final, hat in zip(streams, pmc_chunks, finals,
+                                         residual_hats):
+        chunk = check_2d(chunk, "pmc_chunk")
+        start = stream._scan.fed
+        stop = start + chunk.shape[0]
+        if stop > stream.n:
+            raise ValidationError(
+                f"chunk [{start}, {stop}) overruns the {stream.n}-sample trace"
+            )
+        if final and stop != stream.n:
+            raise ValidationError(
+                f"flush before the trace is complete: fed {stop} of {stream.n}"
+            )
+        if hat is not None:
+            hat = np.asarray(hat, dtype=np.float64)
+            if hat.shape != (chunk.shape[0],):
+                raise ValidationError(
+                    f"residual_hat has shape {hat.shape}, "
+                    f"expected ({chunk.shape[0]},)"
+                )
+        chunks.append(chunk)
+        hats.append(hat)
+    if not streams:
+        return []
+    counts = [chunk.shape[0] for chunk in chunks]
+    tracer = current_tracer()
+    with tracer.span("trr.spline"):
+        p_splined, gradients = _trend(streams, counts)
+    with tracer.span("trr.resmodel"):
+        residual = np.concatenate([
+            hat if hat is not None
+            else stream._trr.res_model_.predict(chunk) if chunk.shape[0]
+            else np.empty(0)
+            for stream, chunk, hat in zip(streams, chunks, hats)
+        ])
+        at = 0
+        for m, grad in zip(counts, gradients):
+            if grad is not None:
+                # Unsigned mode (the paper's ABS target): apply the magnitude
+                # in the direction of the local spline curvature error proxy.
+                residual[at:at + m] *= np.sign(grad + 1e-12)
+            at += m
+        p_residual = p_splined + residual
+    with tracer.span("trr.fusion"):
+        return _fuse([stream._scan for stream in streams], p_splined,
+                     p_residual, counts, finals)
+
+
+def _stackable(trend) -> bool:
+    """Whether a fitted trend model evaluates in spline stacks."""
+    return type(trend) is CubicSplineInterpolator and trend.extrapolate == "linear"
+
+
+def _trend(streams, counts) -> "tuple[np.ndarray, list]":
+    """Every run's trend over its next ``counts`` samples, concatenated, and
+    per run ``np.gradient`` of the dense trend there (``None`` unless the
+    run's residuals are unsigned)."""
+    spans = []
+    for stream, m in zip(streams, counts):
+        start = stream._scan.fed
+        if stream._unsigned and m:
+            # One extra trend point on each side supplies the centred
+            # differences of the gradient.
+            spans.append((max(0, start - 1), min(stream.n, start + m + 1)))
+        else:
+            spans.append((start, start + m))
+    values = [None] * len(streams)
+    stacked = [i for i, stream in enumerate(streams) if stream._spline is not None]
+    if stacked:
+        members = [streams[i] for i in stacked]
+        splines = tuple(stream._spline for stream in members)
+        stack = members[0]._spline_stack
+        if stack is None or stack.splines != splines:
+            stack = SplineStack(splines)
+            for stream in members:
+                stream._spline_stack = stack
+        lo = np.array([spans[i][0] for i in stacked], dtype=np.intp)
+        sizes = np.array([spans[i][1] - spans[i][0] for i in stacked],
+                         dtype=np.intp)
+        ends = np.cumsum(sizes)
+        # Every member's index range, as one float array.
+        xq = (np.arange(ends[-1], dtype=np.intp)
+              + np.repeat(lo - (ends - sizes), sizes)).astype(np.float64)
+        flat = stack.predict_concat(xq, sizes)
+        if len(stacked) == len(streams) and not any(
+                stream._unsigned for stream in streams):
+            return flat, [None] * len(streams)
+        parts = np.split(flat, ends[:-1])
+        for i, part in zip(stacked, parts):
+            values[i] = part
+    parts, gradients = [], []
+    for stream, m, (a, b), s in zip(streams, counts, spans, values):
+        if s is None:
+            s = stream._trend_eval(np.arange(a, b, dtype=np.float64))
+        start = stream._scan.fed
+        parts.append(s[start - a:start - a + m])
+        gradients.append(_gradient(s, a, start, start + m, stream.n)
+                         if stream._unsigned else None)
+    return np.concatenate(parts), gradients
+
+
+def _gradient(s: np.ndarray, a: int, start: int, stop: int, n: int
+              ) -> np.ndarray:
+    """``np.gradient`` of an ``n``-sample dense trend, restricted to
+    ``[start, stop)``, from the trend ``s`` over ``[a, min(n, stop + 1))``
+    (``a = max(0, start - 1)``).
+
+    Bit-identical to ``np.gradient(trend)[start:stop]``: the extra point on
+    each side supplies the centred differences, and the trace edges fall
+    back to the same one-sided differences.
+    """
+    if stop == start:
+        return np.empty(0)
+    pos = np.arange(start, stop) - a
+    left = np.maximum(pos - 1, 0)
+    right = np.minimum(pos + 1, s.shape[0] - 1)
+    g = (s[right] - s[left]) / 2.0
+    if start == 0:
+        g[0] = s[1] - s[0]
+    if stop == n:
+        g[-1] = s[-1] - s[-2]
+    return g
+
+
+def _fuse(scans, p_splined, p_residual, counts, finals
+          ) -> "list[tuple[int, np.ndarray]]":
+    """Feed every run's next span into its scan and finalise what became
+    final, in one pass; ``p_splined``/``p_residual`` concatenate the runs'
+    new spans (``counts[i]`` samples each).
+
+    Each run's working span is its unfinalised tail followed by its new
+    samples; the spans are laid end to end, so the holds write into one
+    array and the elementwise fusion runs once over all of it (the
+    unfinalised tails are fused too, and the result discarded).
+    """
+    # Operation 1's trigger, over every run's newly fed samples at once.
+    thresh = np.repeat([scan.thresh for scan in scans], counts)
+    hits = np.flatnonzero(np.abs(p_residual - p_splined) >= thresh)
+    tails = [scan.fed - scan.emitted for scan in scans]
+    lengths = [t + m for t, m in zip(tails, counts)]
+    seg0 = list(accumulate(lengths, initial=0))  # run r's span starts here
+    new_at = list(accumulate(counts, initial=0))
+    w = np.empty(seg0[-1])
+    res = np.empty(seg0[-1])
+    into = np.arange(new_at[-1]) + np.repeat(
+        np.subtract(seg0[:-1], new_at[:-1]) + tails, counts)
+    w[into] = p_splined
+    res[into] = p_residual
+    tail_at = list(accumulate(tails, initial=0))
+    if tail_at[-1]:
+        into = np.arange(tail_at[-1]) + np.repeat(
+            np.subtract(seg0[:-1], tail_at[:-1]), tails)
+        w[into] = np.concatenate([scan.w_tail for scan in scans])
+        res[into] = np.concatenate([scan.r_tail for scan in scans])
+    stops = [scan.fed + m for scan, m in zip(scans, counts)]
+    # Earlier chunks' holds whose windows spill into (or past) a new span.
+    pending = []
+    for scan, s0, stop in zip(scans, seg0, stops):
+        still = []
+        off = s0 - scan.emitted  # w index of trace position p: p + off
+        for w_start, w_stop, v in scan.pending:
+            w[w_start + off:min(w_stop, stop) + off] = v
+            if w_stop > stop:
+                still.append((stop, w_stop, v))
+        pending.append(still)
+    if hits.size:
+        owners = np.searchsorted(new_at, hits, side="right") - 1
+        # repro-lint: disable=per-sample-loop — ascending in-place hold
+        # propagation is the bit-identity reference semantics (overlapping
+        # holds must see earlier writes); O(spikes) per pass, not O(samples).
+        for r, h in zip(owners.tolist(), hits.tolist()):
+            scan = scans[r]
+            i = scan.fed + h - new_at[r]
+            off = seg0[r] - scan.emitted
+            v = w[i + off]
+            w_stop = min(scan.n, i + scan.half)
+            w[max(0, i - scan.half) + off:min(w_stop, stops[r]) + off] = v
+            if w_stop > stops[r]:
+                pending[r].append((stops[r], w_stop, v))
+    # Operations 2 & 3, the band fusion and the clamp, elementwise, with
+    # each run's limits and band thresholds over its span.
+    lo, hi, alpha, beta = np.repeat(
+        np.array([scan.band for scan in scans]).T, lengths, axis=1)
+    # Out-of-range ResModel output is distrusted.
+    r = np.where((res >= hi) | (res <= lo), w, res)
+    # Fusion by agreement band (spline wins outside the mid band).
+    gap = np.abs(w - r)
+    floor = np.minimum(np.abs(w), np.abs(r))
+    mid = (gap > alpha * floor) & (gap <= beta * floor)
+    p_trr = np.where(mid, 0.5 * (w + r), w)
+    np.minimum(p_trr, hi, out=p_trr)
+    np.maximum(p_trr, lo, out=p_trr)
+    out, marks, offsets, n_marks, measured = [], [], [], [], []
+    for scan, s0, s1, stop, final, still in zip(
+            scans, seg0, seg0[1:], stops, finals, pending):
+        base = scan.emitted
+        to = scan.n if final else max(base, stop - scan.half)
+        k = to - base
+        sel = bisect_left(scan.marks, to, scan.sel)
+        if sel > scan.sel:
+            marks.append(scan.idx[scan.sel:sel])
+            measured.append(scan.vals[scan.sel:sel])
+            offsets.append(s0 - base)
+            n_marks.append(sel - scan.sel)
+        out.append((base, p_trr[s0:s0 + k]))
+        scan.sel = sel
+        scan.w_tail = w[s0 + k:s1]
+        scan.r_tail = res[s0 + k:s1]
+        scan.pending = still
+        scan.fed = stop
+        scan.emitted = to
+    if marks:
+        # Observed instants keep their readings — they are measurements.
+        p_trr[np.concatenate(marks) + np.repeat(offsets, n_marks)] = \
+            np.concatenate(measured)
+    return out

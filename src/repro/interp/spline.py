@@ -20,8 +20,9 @@ same IEEE-754 doubles), so each stacked spline is bitwise equal to fitting
 it alone. :meth:`CubicSplineInterpolator.fit` is the stack of one — there
 is one fit path. Stacked splines extrapolate linearly (StaticTRR's trend);
 :func:`predict_stack` evaluates many of them, each at its own query
-points, in one pass. Knots must be finite: a NaN knot would otherwise fit
-and predict NaN everywhere.
+points, in one pass, and a :class:`SplineStack` keeps their concatenated
+coefficients for callers that evaluate the same splines repeatedly. Knots
+must be finite: a NaN knot would otherwise fit and predict NaN everywhere.
 """
 
 from __future__ import annotations
@@ -151,41 +152,71 @@ def predict_stack(splines, queries) -> "list[np.ndarray]":
     """Evaluate each fitted linear-extrapolating spline (as
     :func:`fit_stack` fits them) at its own query points, in one pass.
 
-    Bitwise equal to ``[s.predict(q) for s, q in zip(splines, queries)]``:
-    the splines' compiled coefficients are concatenated, each query is
-    mapped to its spline's interval, and the Horner evaluation and
-    below-range extrapolation run once over every query.
+    Bitwise equal to ``[s.predict(q) for s, q in zip(splines, queries)]``;
+    the :class:`SplineStack` of ``splines``, used once.
     """
     if not splines:
         return []
-    if any(s._x is None for s in splines):
-        raise NotFittedError("predict_stack before fit")
-    if any(s.extrapolate != "linear" for s in splines):
-        raise ValidationError("predict_stack needs linear extrapolation")
-    queries = [check_1d(np.atleast_1d(q), "xq") for q in queries]
-    if len(queries) != len(splines):
-        raise ValidationError(
-            f"{len(queries)} query arrays for {len(splines)} splines"
-        )
-    offsets = np.cumsum([0] + [s._x.shape[0] for s in splines[:-1]])
-    counts = [q.shape[0] for q in queries]
-    xq = np.concatenate(queries)
-    idx = np.concatenate([
-        s._x_inner.searchsorted(q, side="right") + off
-        for s, q, off in zip(splines, queries, offsets.tolist())
-    ])
-    x = np.concatenate([s._x for s in splines])
-    coef = np.concatenate([s._coef for s in splines], axis=1)
-    c0, c1, c2, c3 = coef[:, idx]
-    dx = xq - x[idx]
-    out = c0 + dx * (c1 + dx * (c2 + dx * c3))
-    first = np.repeat(offsets, counts)
-    below = xq < x[first]
-    if below.any():
-        start = first[below]
-        # c1 of each spline's interval 0 is its first derivative at x_0.
-        out[below] = coef[0, start] + coef[1, start] * (xq[below] - x[start])
-    return np.split(out, np.cumsum(counts)[:-1])
+    return SplineStack(splines).predict(queries)
+
+
+class SplineStack:
+    """Fitted linear-extrapolating splines evaluated as one.
+
+    The members' compiled coefficients are concatenated once, at
+    construction, so a caller that evaluates the same splines again and
+    again (the fleet's static restore, once per tick) pays for the
+    concatenation once. Each query is mapped to its member's interval, and
+    the Horner evaluation and below-range extrapolation run once over every
+    query; each member's values are bitwise equal to its own ``predict``.
+    """
+
+    def __init__(self, splines) -> None:
+        splines = tuple(splines)
+        if any(s._x is None for s in splines):
+            raise NotFittedError("SplineStack before fit")
+        if any(s.extrapolate != "linear" for s in splines):
+            raise ValidationError("a spline stack needs linear extrapolation")
+        #: the member splines, in stack order (the identity a cache checks).
+        self.splines = splines
+        self._offsets = np.cumsum([0] + [s._x.shape[0] for s in splines[:-1]])
+        self._inner = [s._x_inner for s in splines]
+        self._x = np.concatenate([s._x for s in splines])
+        self._coef = np.concatenate([s._coef for s in splines], axis=1)
+
+    def predict(self, queries) -> "list[np.ndarray]":
+        """Each member at its own query points (one array per member)."""
+        queries = [check_1d(np.atleast_1d(q), "xq") for q in queries]
+        if len(queries) != len(self.splines):
+            raise ValidationError(
+                f"{len(queries)} query arrays for {len(self.splines)} splines"
+            )
+        counts = [q.shape[0] for q in queries]
+        out = self.predict_concat(np.concatenate(queries), counts)
+        return np.split(out, np.cumsum(counts)[:-1])
+
+    def predict_concat(self, xq: np.ndarray, counts) -> np.ndarray:
+        """Evaluate member ``i`` at its ``counts[i]`` consecutive points of
+        the concatenated, already validated float queries ``xq``; returns
+        the values concatenated the same way."""
+        bounds = np.cumsum(counts).tolist()
+        first = np.repeat(self._offsets, counts)
+        idx = np.concatenate([
+            inner.searchsorted(xq[b - c:b], side="right")
+            for inner, c, b in zip(self._inner, counts, bounds)
+        ])
+        idx += first
+        x = self._x
+        coef = self._coef
+        c0, c1, c2, c3 = coef[:, idx]
+        dx = xq - x[idx]
+        out = c0 + dx * (c1 + dx * (c2 + dx * c3))
+        below = xq < x[first]
+        if below.any():
+            start = first[below]
+            # c1 of each spline's interval 0 is its first derivative at x_0.
+            out[below] = coef[0, start] + coef[1, start] * (xq[below] - x[start])
+        return out
 
 
 class CubicSplineInterpolator:

@@ -13,6 +13,10 @@ batched through the compiled flat-array layer:
   :class:`~repro.perf.TreeStack` frontier descents over every node's
   pending chunk — one stack per PMC width, so CPU trees (10 counter
   columns) and GPU trees (16) each batch among themselves;
+* static runs' chunks then restore as one stack
+  (:func:`~repro.core.static_trr.restore_streams`): one spline-trend
+  evaluation, one spike mask and one elementwise Algorithm-1 fusion over
+  every run's chunk, each run's final chunk flushed in the same pass;
 * dynamic runs' chunks advance in lockstep from one IM reading to the
   next, and the online fine-tunes those readings ask for train as one
   BPTT stack per (buffer length, step budget) instead of once per node;
@@ -40,7 +44,7 @@ from ..core.highrpm import (
     PROV_RESTORED,
     MonitorResult,
 )
-from ..core.static_trr import fit_streams
+from ..core.static_trr import fit_streams, restore_streams
 from ..errors import ValidationError
 from ..obs import use_registry, use_tracer
 from ..perf.batch import TreeStack, single_tree_of
@@ -264,7 +268,7 @@ class FleetMonitor:
                 chunks = [c2 for c in chunks
                           for c2 in pipeline.apply(run.ctx, c, i)]
             pending.extend((run, c) for c in chunks)
-        self._batch_residuals(pending)
+        self._batch_static(pending)
         self._batch_online(pending)
         restored = []
         for run, chunk in pending:
@@ -281,37 +285,55 @@ class FleetMonitor:
             run.chunks.extend(chunks)
             at_risk.discard(run.ctx.node_id)
 
-    def _batch_residuals(self, pending) -> None:
-        """Pre-fill static chunks' ResModel outputs with TreeStack descents
-        across nodes (the restore stage then skips its own call).
+    def _batch_static(self, pending) -> None:
+        """Pre-fill static chunks' restored spans in one stacked pass (the
+        restore stage then only re-spans them).
 
-        A :class:`~repro.perf.TreeStack` concatenates its members' feature
-        slots, so only trees over the same PMC width can fuse — chunks are
-        grouped by ``pmcs.shape[1]`` and each width gets its own stack
-        (CPU hosts batch with CPU hosts, GPU nodes with GPU nodes)."""
-        groups: "dict[int, list]" = {}
-        for run, chunk in pending:
-            if run.ctx.mode != "static" or chunk.residual_hat is not None:
-                continue
-            tree = single_tree_of(run.ctx.restorer._trr.res_model_)
-            if tree is None:
-                continue
-            groups.setdefault(chunk.pmcs.shape[1], []).append(
-                (run, chunk, tree)
+        The ResModel outputs come from :class:`~repro.perf.TreeStack`
+        frontier descents across nodes; a stack concatenates its members'
+        feature slots, so only trees over the same PMC width can fuse —
+        chunks are grouped by ``pmcs.shape[1]`` and each width gets its own
+        stack (CPU hosts batch with CPU hosts, GPU nodes with GPU nodes).
+        Every static chunk then restores in one
+        :func:`~repro.core.static_trr.restore_streams` call, which also
+        flushes each run's final chunk."""
+        todo = [(run, chunk) for run, chunk in pending
+                if run.ctx.mode == "static" and chunk.restored is None]
+        if len(todo) < 2:
+            return  # nothing to stack; the restore stage's own pass is identical
+        with self.service.tracer.span("monitor.restore"):
+            spans = restore_streams(
+                [run.ctx.restorer for run, _ in todo],
+                [chunk.pmcs for _, chunk in todo],
+                [chunk.final for _, chunk in todo],
+                self._stacked_residuals(todo),
             )
+        for (_, chunk), span in zip(todo, spans):
+            chunk.restored = span
+
+    def _stacked_residuals(self, todo) -> list:
+        """Each static chunk's ResModel output from one TreeStack descent
+        per PMC width, or None where its run's tree has no width-mate."""
+        residuals = [None] * len(todo)
+        groups: "dict[int, list]" = {}
+        for i, (run, chunk) in enumerate(todo):
+            tree = single_tree_of(run.ctx.restorer._trr.res_model_)
+            if tree is not None:
+                groups.setdefault(chunk.pmcs.shape[1], []).append((i, tree))
         for width, batchable in groups.items():
             if len(batchable) < 2:
                 continue  # nothing to amortize; per-chunk predict is identical
-            members = tuple(tree for _, _, tree in batchable)
+            members = tuple(tree for _, tree in batchable)
             cached = self._stack_cache.get(width)
             if cached is not None and cached[0] == members:
                 stack = cached[1]
             else:
                 stack = TreeStack(list(members))
                 self._stack_cache[width] = (members, stack)
-            parts = stack.predict([chunk.pmcs for _, chunk, _ in batchable])
-            for (_, chunk, _), residual_hat in zip(batchable, parts):
-                chunk.residual_hat = residual_hat
+            parts = stack.predict([todo[i][1].pmcs for i, _ in batchable])
+            for (i, _), residual in zip(batchable, parts):
+                residuals[i] = residual
+        return residuals
 
     def _batch_online(self, pending) -> None:
         """Pre-fill dynamic chunks' restored node power, training the

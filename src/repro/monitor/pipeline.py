@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.highrpm import PROV_MODEL_ONLY, provenance_from_readings
+from ..core.static_trr import restore_streams
 from ..errors import SensorError, ValidationError
 from ..sensors.base import SparseReadings
 from ..stream import PowerChunk, RunContext, Stage, StreamPipeline, chunk_spans
@@ -246,10 +247,10 @@ class RestoreStage(Stage):
 
     Dynamic and model-only runs map chunks one-to-one through an
     :class:`~repro.core.OnlineTRRSession`. Static runs feed a
-    :class:`~repro.core.StaticTRRStream`, whose output spans lag the input
-    by half a miss-interval (Algorithm-1 holds reach that far back) — the
-    emitted chunks are re-spanned accordingly and still tile the run
-    exactly.
+    :class:`~repro.core.StaticTRRStream` (a run's final chunk also flushes
+    it), whose output spans lag the input by half a miss-interval
+    (Algorithm-1 holds reach that far back) — the emitted chunks are
+    re-spanned accordingly and still tile the run exactly.
     """
 
     name = "restore"
@@ -286,12 +287,11 @@ class RestoreStage(Stage):
         return chunk
 
     def _static(self, ctx: ObservationContext, chunk: PowerChunk):
-        start, vals = ctx.restorer.restore_chunk(
-            chunk.pmcs, residual_hat=chunk.residual_hat
-        )
-        if chunk.final:
-            _, tail = ctx.restorer.finish()
-            vals = np.concatenate([vals, tail])
+        if chunk.restored is None:  # the fleet front-end pre-fills in stacks
+            chunk.restored = restore_streams(
+                [ctx.restorer], [chunk.pmcs], [chunk.final]
+            )[0]
+        start, vals = chunk.restored
         if vals.shape[0] == 0:
             return None  # held back until the fusion window closes
         stop = start + vals.shape[0]

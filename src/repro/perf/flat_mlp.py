@@ -10,11 +10,11 @@ pure overhead.
 matrix (``W0' = W0 / σx``, ``b0' = b0 − (µx/σx)·W0``) and the target
 de-standardisation into the last (``WL' = WL·σy``, ``bL' = bL·σy + µy``),
 then runs the forward pass through preallocated hidden-layer buffers with
-in-place activations. Buffers are keyed by batch size and rebuilt only
-when it changes — the steady-state monitor shape reuses them on every
-call. The matmuls run through unoptimised ``np.einsum`` rather than GEMM
-calls: einsum reduces the feature axis in fixed index order per output
-element, so per-row results are independent of the batch they arrive in —
+in-place activations. Buffers are sized to the largest batch seen and
+handed out as row views, so alternating batch sizes reuse them too. The
+matmuls run through unoptimised ``np.einsum`` rather than GEMM calls:
+einsum reduces the feature axis in fixed index order per output element,
+so per-row results are independent of the batch they arrive in —
 which the streaming/fleet paths rely on for bit-identical chunked and
 cross-node-batched inference (a GEMM's blocking, and therefore its
 summation order, varies with batch size).
@@ -84,10 +84,13 @@ class CompiledMLP:
         self._bufs: "dict[int, tuple[int, list[np.ndarray]]]" = {}
 
     def _buffers(self, n: int) -> "list[np.ndarray]":
-        return thread_scratch(
+        """Hidden-layer buffers for ``n`` rows: row views of this thread's
+        largest scratch."""
+        bufs = thread_scratch(
             self._bufs, n,
             lambda k: [np.empty((k, w.shape[1])) for w in self.weights[:-1]],
         )
+        return [buf[:n] for buf in bufs]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         record_predict("mlp", "compiled", X.shape[0])

@@ -65,24 +65,28 @@ def _node_depths(feature: np.ndarray, left: np.ndarray, right: np.ndarray) -> np
 
 
 def thread_scratch(cache: dict, n: int, make):
-    """The calling thread's scratch for batch size ``n``, kept in ``cache``.
+    """The calling thread's scratch for batches of up to ``n`` rows, kept
+    in ``cache``; callers use its first ``n`` rows.
 
     Compiled models are shared by thread-hosted fleet shards, so scratch is
     per thread — one shared buffer would let one thread's forward overwrite
-    another's mid-flight. Rebuilt (``make(n)``) only when this thread's
-    batch size changes.
+    another's mid-flight. The largest batch seen is kept: rebuilt
+    (``make(n)``) only when this thread's batch outgrows it, so a fleet
+    whose ticks alternate between full and tail chunk sizes reuses one
+    buffer.
     """
     key = threading.get_ident()
     hit = cache.get(key)
-    if hit is None or hit[0] != n:
+    if hit is None or hit[0] < n:
         hit = cache[key] = (n, make(n))
     return hit[1]
 
 
 class _Workspace:
-    """Per-batch-size scratch for the frontier descent.
+    """Scratch for the frontier descent of up to ``n`` rows (every use
+    slices its first rows).
 
-    Rebuilt only when the batch size changes, so steady-state prediction
+    Rebuilt only when a batch outgrows it, so steady-state prediction
     (the monitor restoring same-length traces) reuses every buffer.
     """
 

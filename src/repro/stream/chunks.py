@@ -41,9 +41,9 @@ class PowerChunk:
     #: heads (GPU device classes), None on CPU-only nodes.
     p_gpu: "np.ndarray | None" = None
     provenance: "np.ndarray | None" = None
-    #: optional pre-computed ResModel output for the static path (the fleet
-    #: front-end batches these across nodes before feeding the pipeline).
-    residual_hat: "np.ndarray | None" = None
+    #: the static restorer's ``(start, p_node)`` output for this chunk (the
+    #: fleet front-end restores static chunks across nodes in one pass).
+    restored: "tuple[int, np.ndarray] | None" = None
 
     @property
     def n_samples(self) -> int:

@@ -165,3 +165,45 @@ def test_every_record_is_gated(tmp_path, capsys):
 def test_flags_and_no_paths_are_usage_errors(capsys):
     assert check_perfbench.main([]) == 2
     assert check_perfbench.main(["--baseline"]) == 2
+
+
+def test_met_claim_passes(tmp_path, capsys):
+    record = _record()
+    record["claim"] = {"metric": "samples_per_s", "workload": "static-long"}
+    _set_change(record, "static-long", samples_per_s=1.2)
+    code, out = _gate(record, tmp_path, capsys)
+    assert code == 0, out
+    assert "claim: static-long samples_per_s" in out and "met" in out
+
+
+def test_unmet_claim_fails(tmp_path, capsys):
+    # Within every bound, but the claimed lower-is-better metric did not
+    # fall: equal medians do not beat the parent.
+    record = _record()
+    record["claim"] = {"metric": "chunk_latency_ms_p50",
+                       "workload": "static-long"}
+    code, out = _gate(record, tmp_path, capsys)
+    assert code == 1
+    assert "claim: static-long, chunk_latency_ms_p50" in out
+    assert "NOT MET" in out
+
+
+def test_record_without_claim_is_not_checked_for_one(tmp_path, capsys):
+    code, out = _gate(_record(), tmp_path, capsys)
+    assert code == 0, out
+    assert "claim:" not in out
+
+
+@pytest.mark.parametrize("claim", [
+    {"metric": "samples_per_second", "workload": "static-long"},
+    {"metric": "samples_per_s", "workload": "static-short"},
+    {"metric": "hardware.simulate_s", "workload": "static-long"},
+    "samples_per_s",
+])
+def test_unknown_claim_is_a_usage_error(tmp_path, capsys, claim):
+    record = _record()
+    record["claim"] = claim
+    path = tmp_path / "BENCH_TEST.json"
+    path.write_text(json.dumps(record))
+    assert check_perfbench.main([str(path)]) == 2
+    assert "claim" in capsys.readouterr().err

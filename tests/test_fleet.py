@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.dynamic_trr import run_fine_tunes
-from repro.core.static_trr import StaticTRR, fit_streams
+from repro.core.static_trr import StaticTRR, fit_streams, restore_streams
 from repro.errors import ConvergenceError, NotFittedError, ValidationError
 from repro.faults import FaultySensor, OutageWindow
 from repro.gpu import AcceleratedNodeSimulator, gpu_workload
@@ -170,10 +170,10 @@ class TestFleetMonitor:
         [(True, 16, None, False), (False, 16, None, False),
          (True, None, None, False), (False, None, None, False),
          (True, 16, "fl-b", False), (True, 16, None, True),
-         (False, 16, None, "hetero")],
+         (False, 16, None, "hetero"), (False, 16, None, "late")],
         ids=["online", "offline", "online-whole-run", "offline-whole-run",
              "strict-dead-feed", "online-mixed-stacks",
-             "offline-hetero-submit-all"],
+             "offline-hetero-submit-all", "offline-late-submit"],
     )
     def test_fleet_equals_sequential_observe_run(
         self, chaos_reference, monkeypatch, request, online, seq_chunk,
@@ -183,6 +183,9 @@ class TestFleetMonitor:
         policy = ResiliencePolicy(degrade_to_model_only=False) \
             if strict_dead else None
         hetero = mixed == "hetero"
+        #: the last node's static run opens three ticks into the round,
+        #: beside static runs already under way.
+        late = mixed == "late"
         node_ids = self.HETERO_IDS if hetero else \
             self.STACK_IDS if mixed else self.NODE_IDS
         failing = {strict_dead} if strict_dead else set()
@@ -200,9 +203,10 @@ class TestFleetMonitor:
                 if nid.startswith("gpu-"):
                     bundles[nid] = accel.run(gpu_workload("gemm", seed=5),
                                              duration_s=len(bundle))
-        # Record how each tick's fine-tunes split into stacks, and how each
-        # round open's stacked StaticTRR fit grouped its runs.
-        rounds, opens = [], []
+        # Record how each tick's fine-tunes split into stacks, how each
+        # round open's stacked StaticTRR fit grouped its runs, and at which
+        # positions each stacked static restore found its runs.
+        rounds, opens, positions = [], [], []
 
         def spy(jobs):
             rounds.append(Counter(job.key for job in jobs))
@@ -212,8 +216,13 @@ class TestFleetMonitor:
             opens.append(sorted(len(r) for r in readings))
             return fit_streams(trrs, pmcs_rows, readings)
 
+        def restore_spy(streams, pmc_chunks, finals, residual_hats):
+            positions.append({s.samples_fed for s in streams})
+            return restore_streams(streams, pmc_chunks, finals, residual_hats)
+
         monkeypatch.setattr(fleet_module, "run_fine_tunes", spy)
         monkeypatch.setattr(fleet_module, "fit_streams", fit_spy)
+        monkeypatch.setattr(fleet_module, "restore_streams", restore_spy)
         # The governor thins the feeds from the second round on.
         n_rounds = 2 if hetero else 1
         seq, seq_errors = [], {}
@@ -234,12 +243,18 @@ class TestFleetMonitor:
             if hetero:
                 fleet.submit_all(bundles, online=online)
             else:
+                early = {}
                 for nid in node_ids:
+                    if late and nid == node_ids[-1]:
+                        for _ in range(3):
+                            early.update(fleet.tick())
                     try:
                         fleet.submit(nid, bundle, online=online)
                     except Exception as exc:
                         fleet_errors[nid] = type(exc)
             results.append(fleet.observe_all([]))
+            if not hetero:
+                results[-1].update(early)
         assert fleet_errors == seq_errors
         assert set(seq_errors) == failing
         assert all(set(r) == set(node_ids) - failing for r in results)
@@ -259,6 +274,12 @@ class TestFleetMonitor:
             assert all(len(counts) == len(node_ids) - 1 for counts in opens)
             assert opens[1] != opens[0]
             assert len(set(opens[1])) >= 2
+        if late:
+            # Some stacked restore carried the late run beside runs that
+            # were further along.
+            assert any(len(fed) >= 2 for fed in positions)
+        if not online and seq_chunk is not None:
+            assert positions  # the static chunks restored as stacks
         for nid in node_ids:
             for svc in (seq_svc, fleet_svc):
                 assert svc.registry.counter(
@@ -349,6 +370,34 @@ class TestFleetMonitor:
         assert all(svc.health(nid).runs == 0 for nid in self.NODE_IDS)
         # The fleet keeps serving: a fresh run restores the whole bundle.
         again = fleet.observe_all({"fl-b": bundle})
+        assert len(again["fl-b"]) == len(bundle)
+
+    def test_failed_stacked_static_restore_loses_the_runs_its_tick_carried(
+        self, chaos_reference
+    ):
+        _, bundle = chaos_reference
+        short = bundle.slice(0, 16)  # one chunk: finishes on the first tick
+        _, svc = _twin_services(chaos_reference, self.NODE_IDS + ("fl-s",))
+        fleet = FleetMonitor(svc, chunk_size=16)
+        for nid in self.NODE_IDS:
+            fleet.submit(nid, bundle, online=False)
+        fleet.submit("fl-s", short, online=False)
+        first = fleet.tick()
+        assert set(first) == {"fl-s"} and len(first["fl-s"]) == len(short)
+        # Corrupt fl-a's stream position: its next chunk overruns its trace,
+        # and the stacked restore it is part of raises for every run.
+        fleet._runs["fl-a"].ctx.restorer._scan.fed = len(bundle)
+        with pytest.raises(ValidationError, match="overruns"):
+            fleet.tick()
+        failed = svc.registry.counter(
+            "repro_monitor_failed_runs_total", "", ("node",)
+        )
+        assert [failed.labels(node=nid).value for nid in self.NODE_IDS] \
+            == [1.0, 1.0, 1.0]
+        assert failed.labels(node="fl-s").value == 0.0
+        assert fleet.active_nodes == ()
+        # The fleet keeps serving: a fresh run restores the whole bundle.
+        again = fleet.observe_all({"fl-b": bundle}, online=False)
         assert len(again["fl-b"]) == len(bundle)
 
     def test_submit_all_loses_only_the_runs_whose_feed_raised(

@@ -31,6 +31,7 @@ from repro.perf import (
     compile_mlp,
     compile_model,
     compile_tree,
+    flat_mlp,
     precompile,
 )
 
@@ -171,6 +172,28 @@ class TestMLPEquivalence:
             np.testing.assert_allclose(
                 mlp.predict(Xq), mlp._predict_reference(Xq), rtol=1e-10, atol=1e-9
             )
+
+    def test_alternating_batch_sizes_build_scratch_once(self, rng, monkeypatch):
+        """A fleet whose ticks alternate full and tail chunks (128 and 32
+        rows) builds its hidden-layer scratch once, and the row views
+        predict bitwise what a freshly compiled model does."""
+        X = rng.normal(size=(100, 3))
+        mlp = MLPRegressor(hidden_layer_sizes=(8, 4), max_iter=60,
+                           random_state=0).fit(X, X[:, 0])
+        batches = [rng.normal(size=(n, 3)) for n in (128, 32, 128, 32)]
+        want = [compile_mlp(mlp).predict(Xq) for Xq in batches]
+        compiled = compile_mlp(mlp)
+        made = []
+        real = flat_mlp.thread_scratch
+
+        def counting(cache, n, make):
+            return real(cache, n, lambda k: made.append(k) or make(k))
+
+        monkeypatch.setattr(flat_mlp, "thread_scratch", counting)
+        got = [compiled.predict(Xq) for Xq in batches]
+        assert made == [128]
+        for w, g in zip(want, got):
+            assert w.tobytes() == g.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["mlp", "tree", "forest"])

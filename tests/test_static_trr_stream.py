@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from repro.core import DynamicTRR, HighRPMConfig, StaticTRR
-from repro.core.static_trr import fit_streams
+from repro.core.static_trr import fit_streams, restore_streams
 from repro.errors import ValidationError
 from repro.hardware import ARM_PLATFORM
+from repro.interp import CubicSplineInterpolator, LinearInterpolator
 from repro.sensors import IPMISensor
 
 
@@ -145,6 +146,101 @@ class TestFitStreams:
             fit_streams([static_trr, StaticTRR()],
                         [pmcs[ipmi_readings.indices], pmcs[:3]],
                         [ipmi_readings, ipmi_readings])
+
+
+class TestRestoreStreams:
+    """The stacked restore against each run's own restore_chunk/finish."""
+
+    #: (length, IM interval, sensor seed, chunk, first chunk fed alone,
+    #: config overrides, trend factory): a 1-sample chunk, odd chunks, a
+    #: chunk longer than its run, runs advanced to different positions,
+    #: unsigned residuals, spike-dense runs whose holds spill across chunk
+    #: boundaries, and trend models without a spline stack.
+    RUNS = [
+        (150, 10, 5, 7, 0, {}, None),
+        (97, 10, 6, 1, 0, {}, None),
+        (150, 20, 7, 13, 5, dict(residual_signed=False), None),
+        (120, 10, 8, 200, 0, {}, LinearInterpolator),
+        (150, 20, 9, 3, 17, dict(spike_fraction=0.01), None),
+        (131, 10, 10, 5, 2, dict(spike_fraction=0.02, residual_signed=False),
+         lambda: CubicSplineInterpolator("clamp")),
+        (150, 10, 11, 32, 40, dict(spike_fraction=0.01), None),
+    ]
+
+    def _streams(self, bundle):
+        """Per run: its PMCs, a fitted stream and the whole-run restore."""
+        pmcs, streams, wholes = [], [], []
+        for n, interval, seed, _, _, overrides, trend in self.RUNS:
+            run = bundle.slice(0, n)
+            readings = IPMISensor(ARM_PLATFORM, interval_s=interval,
+                                  seed=seed).sample(run)
+
+            def make():
+                return StaticTRR(
+                    HighRPMConfig(miss_interval=interval, **overrides),
+                    p_upper=ARM_PLATFORM.max_node_power_w,
+                    p_bottom=ARM_PLATFORM.min_node_power_w,
+                    trend_factory=trend,
+                )
+
+            x = run.pmcs.matrix
+            pmcs.append(x)
+            streams.append(make().fit_stream(x[readings.indices], readings))
+            wholes.append(make().restore(x, readings))
+        return pmcs, streams, wholes
+
+    def test_stacked_restore_equals_per_run_restore(self, small_bundle):
+        pmcs, alone, wholes = self._streams(small_bundle)
+        _, joint, _ = self._streams(small_bundle)
+        outputs = [[] for _ in joint]
+        queues = []
+        for (_, _, _, chunk, first, _, _), x, a, j, out in zip(
+                self.RUNS, pmcs, alone, joint, outputs):
+            if first:  # both copies start the lockstep at this position
+                a.restore_chunk(x[:first])
+                out.append(j.restore_chunk(x[:first])[1])
+            queues.append([x[s:s + chunk] for s in range(first, len(x), chunk)])
+        spilled = False
+        while any(queues):
+            live = [i for i, q in enumerate(queues) if q]
+            chunks = [queues[i].pop(0) for i in live]
+            finals = [not queues[i] for i in live]
+            # the fleet supplies stacked ResModel outputs for some runs
+            hats = [joint[i]._trr.res_model_.predict(c) if i % 2 else None
+                    for i, c in zip(live, chunks)]
+            got = restore_streams([joint[i] for i in live], chunks, finals,
+                                  hats)
+            spilled = spilled or any(joint[i]._scan.pending for i in live)
+            for i, chunk, final, (start, vals) in zip(live, chunks, finals,
+                                                      got):
+                want_start, want = alone[i].restore_chunk(chunk)
+                if final:
+                    want = np.concatenate([want, alone[i].finish()[1]])
+                assert start == want_start
+                assert vals.tobytes() == want.tobytes()
+                outputs[i].append(vals)
+        assert spilled  # some hold reached past its chunk's end
+        # ... and the stacked spans tile each run as its whole-run restore.
+        for out, whole in zip(outputs, wholes):
+            assert np.concatenate(out).tobytes() == whole.tobytes()
+
+    def test_a_malformed_entry_advances_no_run(self, static_trr,
+                                                small_bundle, ipmi_readings):
+        pmcs = small_bundle.pmcs.matrix
+        a, b = fit_streams([static_trr, StaticTRR(static_trr.config)],
+                           [pmcs[ipmi_readings.indices]] * 2,
+                           [ipmi_readings] * 2)
+        with pytest.raises(ValidationError, match="flush before"):
+            restore_streams([a, b], [pmcs[:10], pmcs[:10]], [False, True])
+        with pytest.raises(ValidationError, match="overruns"):
+            restore_streams([a, b], [pmcs[:10], np.vstack([pmcs, pmcs])],
+                            [False, False])
+        with pytest.raises(ValidationError, match="one chunk"):
+            restore_streams([a, b], [pmcs[:10]], [False])
+        with pytest.raises(ValidationError, match="more than once"):
+            restore_streams([a, a], [pmcs[:10], pmcs[10:20]], [False, False])
+        assert a.samples_fed == b.samples_fed == 0
+        assert restore_streams([], [], []) == []
 
 
 class TestOnlineChunks:
