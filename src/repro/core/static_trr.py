@@ -42,6 +42,7 @@ from ..interp.spline import (
 from ..ml.tree import DecisionTreeRegressor
 from ..obs import current_tracer
 from ..perf import precompile
+from ..perf.batch import TreeStack, single_tree_of
 from ..sensors.base import SparseReadings
 from ..utils.validation import check_2d
 from .config import HighRPMConfig
@@ -371,9 +372,11 @@ class StaticTRRStream:
         self._spline = spline if _stackable(spline) else None
         get_eval = getattr(spline, "evaluator", None)
         self._trend_eval = get_eval() if get_eval is not None else spline.predict
-        #: the SplineStack this run last evaluated in (reused while the
-        #: stack's members stay the same).
+        #: the SplineStack and TreeStack this run last evaluated in (each
+        #: reused while its members stay the same).
         self._spline_stack: "SplineStack | None" = None
+        self._tree = single_tree_of(trr.res_model_)
+        self._tree_stack: "TreeStack | None" = None
 
     @property
     def samples_fed(self) -> int:
@@ -405,7 +408,8 @@ def restore_streams(streams, pmc_chunks, finals, residual_hats=None
     ``streams``, ``pmc_chunks`` and ``finals`` are parallel sequences, one
     entry per run (each stream at most once); ``residual_hats`` optionally
     supplies each chunk's raw ResModel prediction (``None`` entries are
-    predicted here). A run whose ``finals`` entry is true must be fed to
+    predicted here, single trees as one :class:`~repro.perf.TreeStack`
+    per PMC width). A run whose ``finals`` entry is true must be fed to
     its end by its chunk, and is flushed in the same pass, as if
     :meth:`~StaticTRRStream.finish` followed. Returns each run's newly
     final ``(start, p_trr_part)``, bitwise equal to the run's own
@@ -416,8 +420,8 @@ def restore_streams(streams, pmc_chunks, finals, residual_hats=None
     the member set is unchanged); the Operation-1 spike mask is computed
     for every run at once, and holds propagate per run only where a spike
     or a spilled hold is; the final spans are fused in one elementwise
-    pass with each run's limits and thresholds broadcast over its samples.
-    A malformed entry raises before any run advances.
+    pass, in place, with each run's limits and thresholds broadcast over
+    its samples. A malformed entry raises before any run advances.
     """
     if residual_hats is None:
         residual_hats = [None] * len(streams)
@@ -459,12 +463,7 @@ def restore_streams(streams, pmc_chunks, finals, residual_hats=None
     with tracer.span("trr.spline"):
         p_splined, gradients = _trend(streams, counts)
     with tracer.span("trr.resmodel"):
-        residual = np.concatenate([
-            hat if hat is not None
-            else stream._trr.res_model_.predict(chunk) if chunk.shape[0]
-            else np.empty(0)
-            for stream, chunk, hat in zip(streams, chunks, hats)
-        ])
+        residual = np.concatenate(_residuals(streams, chunks, hats))
         at = 0
         for m, grad in zip(counts, gradients):
             if grad is not None:
@@ -472,10 +471,40 @@ def restore_streams(streams, pmc_chunks, finals, residual_hats=None
                 # in the direction of the local spline curvature error proxy.
                 residual[at:at + m] *= np.sign(grad + 1e-12)
             at += m
-        p_residual = p_splined + residual
+        p_residual = np.add(residual, p_splined, out=residual)
     with tracer.span("trr.fusion"):
         return _fuse([stream._scan for stream in streams], p_splined,
                      p_residual, counts, finals)
+
+
+def _residuals(streams, chunks, hats) -> "list[np.ndarray]":
+    """Each run's raw ResModel output for its chunk: its ``hats`` entry if
+    given, else from one :class:`~repro.perf.TreeStack` descent per PMC
+    width over the runs whose ResModel is a single tree, else its model's
+    own ``predict``.
+
+    A stack concatenates its members' feature slots, so only trees over
+    the same PMC width fuse (CPU hosts with CPU hosts, GPU nodes with GPU
+    nodes). Like the spline stack, it is cached on its member streams and
+    reused while the width's members stay the same trees."""
+    out = list(hats)
+    groups: "dict[int, list[int]]" = {}
+    for i, (stream, chunk, hat) in enumerate(zip(streams, chunks, hats)):
+        if hat is None and stream._tree is not None:
+            groups.setdefault(chunk.shape[1], []).append(i)
+        elif hat is None:
+            out[i] = stream._trr.res_model_.predict(chunk) if chunk.shape[0] \
+                else np.empty(0)
+    for members in groups.values():
+        trees = [streams[i]._tree for i in members]
+        stack = streams[members[0]]._tree_stack
+        if stack is None or stack.trees != trees:
+            stack = TreeStack(trees)
+            for i in members:
+                streams[i]._tree_stack = stack
+        for i, part in zip(members, stack.predict([chunks[i] for i in members])):
+            out[i] = part
+    return out
 
 
 def _stackable(trend) -> bool:
@@ -558,32 +587,37 @@ def _fuse(scans, p_splined, p_residual, counts, finals
           ) -> "list[tuple[int, np.ndarray]]":
     """Feed every run's next span into its scan and finalise what became
     final, in one pass; ``p_splined``/``p_residual`` concatenate the runs'
-    new spans (``counts[i]`` samples each).
+    new spans (``counts[i]`` samples each) and belong to the pass (they may
+    be fused in place).
 
     Each run's working span is its unfinalised tail followed by its new
     samples; the spans are laid end to end, so the holds write into one
-    array and the elementwise fusion runs once over all of it (the
-    unfinalised tails are fused too, and the result discarded).
+    array and the elementwise fusion runs once over all of it, in place
+    (the unfinalised tails are copied out first, fused too, and the
+    result discarded).
     """
     # Operation 1's trigger, over every run's newly fed samples at once.
-    thresh = np.repeat([scan.thresh for scan in scans], counts)
-    hits = np.flatnonzero(np.abs(p_residual - p_splined) >= thresh)
+    hits = np.flatnonzero(np.abs(p_residual - p_splined) >= np.repeat(
+        [scan.thresh for scan in scans], counts))
     tails = [scan.fed - scan.emitted for scan in scans]
     lengths = [t + m for t, m in zip(tails, counts)]
     seg0 = list(accumulate(lengths, initial=0))  # run r's span starts here
     new_at = list(accumulate(counts, initial=0))
-    w = np.empty(seg0[-1])
-    res = np.empty(seg0[-1])
-    into = np.arange(new_at[-1]) + np.repeat(
-        np.subtract(seg0[:-1], new_at[:-1]) + tails, counts)
-    w[into] = p_splined
-    res[into] = p_residual
     tail_at = list(accumulate(tails, initial=0))
     if tail_at[-1]:
+        w = np.empty(seg0[-1])
+        res = np.empty(seg0[-1])
+        into = np.arange(new_at[-1]) + np.repeat(
+            np.subtract(seg0[:-1], new_at[:-1]) + tails, counts)
+        w[into] = p_splined
+        res[into] = p_residual
         into = np.arange(tail_at[-1]) + np.repeat(
             np.subtract(seg0[:-1], tail_at[:-1]), tails)
         w[into] = np.concatenate([scan.w_tail for scan in scans])
         res[into] = np.concatenate([scan.r_tail for scan in scans])
+        del into
+    else:  # no unfinalised tails: the new spans are the working spans
+        w, res = p_splined, p_residual
     stops = [scan.fed + m for scan, m in zip(scans, counts)]
     # Earlier chunks' holds whose windows spill into (or past) a new span.
     pending = []
@@ -609,19 +643,6 @@ def _fuse(scans, p_splined, p_residual, counts, finals
             w[max(0, i - scan.half) + off:min(w_stop, stops[r]) + off] = v
             if w_stop > stops[r]:
                 pending[r].append((stops[r], w_stop, v))
-    # Operations 2 & 3, the band fusion and the clamp, elementwise, with
-    # each run's limits and band thresholds over its span.
-    lo, hi, alpha, beta = np.repeat(
-        np.array([scan.band for scan in scans]).T, lengths, axis=1)
-    # Out-of-range ResModel output is distrusted.
-    r = np.where((res >= hi) | (res <= lo), w, res)
-    # Fusion by agreement band (spline wins outside the mid band).
-    gap = np.abs(w - r)
-    floor = np.minimum(np.abs(w), np.abs(r))
-    mid = (gap > alpha * floor) & (gap <= beta * floor)
-    p_trr = np.where(mid, 0.5 * (w + r), w)
-    np.minimum(p_trr, hi, out=p_trr)
-    np.maximum(p_trr, lo, out=p_trr)
     out, marks, offsets, n_marks, measured = [], [], [], [], []
     for scan, s0, s1, stop, final, still in zip(
             scans, seg0, seg0[1:], stops, finals, pending):
@@ -634,15 +655,49 @@ def _fuse(scans, p_splined, p_residual, counts, finals
             measured.append(scan.vals[scan.sel:sel])
             offsets.append(s0 - base)
             n_marks.append(sel - scan.sel)
-        out.append((base, p_trr[s0:s0 + k]))
+        # w fuses in place below, so the run's output is a view of it.
+        out.append((base, w[s0:s0 + k]))
         scan.sel = sel
-        scan.w_tail = w[s0 + k:s1]
-        scan.r_tail = res[s0 + k:s1]
+        # Copies, so a run's tail does not keep the whole pass alive.
+        scan.w_tail = w[s0 + k:s1].copy()
+        scan.r_tail = res[s0 + k:s1].copy()
         scan.pending = still
         scan.fed = stop
         scan.emitted = to
+    _band(w, res, np.array([scan.band for scan in scans]).T, lengths)
     if marks:
         # Observed instants keep their readings — they are measurements.
-        p_trr[np.concatenate(marks) + np.repeat(offsets, n_marks)] = \
+        w[np.concatenate(marks) + np.repeat(offsets, n_marks)] = \
             np.concatenate(measured)
     return out
+
+
+def _band(w, res, band, lengths) -> None:
+    """Operations 2 & 3, the agreement-band fusion and the clamp, in place:
+    ``w`` (working spline values) becomes the fused estimate and ``res``
+    (ResModel estimates) is overwritten. ``band`` holds each run's
+    ``(lo, hi, alpha, beta)`` as columns, broadcast over its ``lengths[r]``
+    samples; at most three other span-sized arrays are alive at once."""
+    def per_sample(k: int) -> np.ndarray:
+        return np.repeat(band[k], lengths)
+
+    # Out-of-range ResModel output is distrusted (the spline replaces it).
+    distrust = res >= per_sample(1)
+    distrust |= res <= per_sample(0)
+    np.copyto(res, w, where=distrust)
+    # Fusion by agreement band (spline wins outside the mid band).
+    gap = np.subtract(w, res)
+    np.abs(gap, out=gap)
+    floor = np.abs(w)
+    np.minimum(floor, np.abs(res), out=floor)
+    threshold = per_sample(2)
+    threshold *= floor
+    mid = gap > threshold
+    del threshold
+    np.multiply(floor, per_sample(3), out=floor)
+    mid &= gap <= floor
+    np.add(w, res, out=gap)
+    gap *= 0.5
+    np.copyto(w, gap, where=mid)
+    np.minimum(w, per_sample(1), out=w)
+    np.maximum(w, per_sample(0), out=w)

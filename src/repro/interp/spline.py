@@ -208,9 +208,13 @@ class SplineStack:
         idx += first
         x = self._x
         coef = self._coef
-        c0, c1, c2, c3 = coef[:, idx]
         dx = xq - x[idx]
-        out = c0 + dx * (c1 + dx * (c2 + dx * c3))
+        # c0 + dx * (c1 + dx * (c2 + dx * c3)), one coefficient row at a time
+        out = dx * coef[3, idx]
+        for row in (2, 1):
+            out += coef[row, idx]
+            out *= dx
+        out += coef[0, idx]
         below = xq < x[first]
         if below.any():
             start = first[below]

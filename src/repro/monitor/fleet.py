@@ -6,8 +6,11 @@ pipeline: it opens a run per node, interleaves the registered nodes' runs
 chunk by chunk, and closes each run when its source is exhausted.
 ``PowerMonitorService.observe_run`` is a fleet of one. A round's runs
 open in one pass, in which every static run's StaticTRR splines fit as
-one stack per knot count. Per tick, the cross-node predict calls are
-batched through the compiled flat-array layer:
+one stack per knot count. A tick is the unit of work: every active run's
+next chunk goes through each stage as one batch
+(:meth:`~repro.stream.StreamPipeline.apply_all`), and the restore and
+attribute stages batch their predict calls across the tick's runs through
+the compiled flat-array layer:
 
 * static runs' per-run ResModel trees are fused into
   :class:`~repro.perf.TreeStack` frontier descents over every node's
@@ -24,11 +27,11 @@ batched through the compiled flat-array layer:
   chunk in one concatenated forward pass (two-way SRR for CPU classes,
   three-way GPUSRR for accelerated ones).
 
-The batched paths are bit-identical per node to per-chunk restoration
-(the compiled predictors are batch-size independent, and the stacked
-trainer leaves each node's model where its own fine-tunes would), and a
-group of one falls back to it, so fleet results equal single-node results
-exactly — including on heterogeneous fleets.
+The batched paths are bit-identical per node to restoring each run on its
+own (the compiled predictors are batch-size independent, and the stacked
+trainer leaves each node's model where its own fine-tunes would), so
+fleet results equal single-node results exactly — including on
+heterogeneous fleets.
 """
 
 from __future__ import annotations
@@ -37,20 +40,17 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..core.dynamic_trr import run_fine_tunes
 from ..core.highrpm import (
     PROV_MEASURED,
     PROV_MODEL_ONLY,
     PROV_RESTORED,
     MonitorResult,
 )
-from ..core.static_trr import fit_streams, restore_streams
+from ..core.static_trr import fit_streams
 from ..errors import ValidationError
 from ..obs import use_registry, use_tracer
-from ..perf.batch import TreeStack, single_tree_of
 from ..types import TraceBundle
 from .pipeline import ObservationContext, build_pipeline, input_chunks
-from .profile import apply_attribution
 
 #: Human-readable provenance labels for the sample-mix counter.
 _PROV_LABELS = {
@@ -103,19 +103,8 @@ class FleetMonitor:
         #: state travels on an ObservationContext.
         self.pipeline = build_pipeline()
         self._runs: "dict[str, _FleetRun]" = {}
-        #: stage positions resolved by name once, so inserting a stage in
-        #: build_pipeline (e.g. calibrate) cannot silently skew the
-        #: interleaved per-stage apply() calls below.
-        names = [s.name for s in self.pipeline.stages]
-        self._restore_i = names.index("restore")
-        self._attribute_i = names.index("attribute")
-        #: per-PMC-width (member trees, stack) from the previous tick — the
-        #: per-run trees are fixed for a run's whole lifetime, so
-        #: consecutive ticks reuse one concatenated slot pool per width
-        #: instead of rebuilding it. Keyed by identity (CompiledTree has no
-        #: __eq__); holding the refs also pins the objects, so identity
-        #: cannot be recycled.
-        self._stack_cache: "dict[int, tuple[tuple, TreeStack]]" = {}
+        #: where submit_all splits its open pass, resolved by name once.
+        self._restore_i = [s.name for s in self.pipeline.stages].index("restore")
 
     @property
     def active_nodes(self) -> tuple:
@@ -250,12 +239,10 @@ class FleetMonitor:
         return finished
 
     def _advance(self, at_risk: "set[str]") -> None:
-        """One interleaved step: pre-restore stages → batched restore →
-        batched attribute → post-attribute stages for every active run.
-        A run is in ``at_risk`` while its chunk is between source and sink."""
-        pipeline = self.pipeline
-        n_stages = len(pipeline.stages)
-        pending = []  # (run, chunk) ready for the restore stage
+        """One interleaved step: every active run's next chunk goes
+        through each stage as one batch. A run is in ``at_risk`` while its
+        chunk is between source and sink."""
+        items = []  # (ctx, chunk) the tick carries into the next stage
         for node_id, run in self._runs.items():
             chunk = next(run.source, None)
             if chunk is None:  # an empty run, or a final chunk already sunk
@@ -263,128 +250,20 @@ class FleetMonitor:
                 continue
             at_risk.add(node_id)
             run.exhausted = chunk.final
-            chunks = [chunk]
-            for i in range(self._restore_i):  # ingest, calibrate, gate
-                chunks = [c2 for c in chunks
-                          for c2 in pipeline.apply(run.ctx, c, i)]
-            pending.extend((run, c) for c in chunks)
-        self._batch_static(pending)
-        self._batch_online(pending)
-        restored = []
-        for run, chunk in pending:
-            for c in pipeline.apply(run.ctx, chunk, self._restore_i):
-                restored.append((run, c))
-        # a chunk the static restorer held back is safe in its fusion window
-        at_risk.intersection_update(run.ctx.node_id for run, _ in restored)
-        self._batch_attribution(restored)
-        for run, chunk in restored:
-            chunks = [chunk]
-            for i in range(self._attribute_i, n_stages):  # attribute, sink
-                chunks = [c2 for c in chunks
-                          for c2 in pipeline.apply(run.ctx, c, i)]
-            run.chunks.extend(chunks)
-            at_risk.discard(run.ctx.node_id)
-
-    def _batch_static(self, pending) -> None:
-        """Pre-fill static chunks' restored spans in one stacked pass (the
-        restore stage then only re-spans them).
-
-        The ResModel outputs come from :class:`~repro.perf.TreeStack`
-        frontier descents across nodes; a stack concatenates its members'
-        feature slots, so only trees over the same PMC width can fuse —
-        chunks are grouped by ``pmcs.shape[1]`` and each width gets its own
-        stack (CPU hosts batch with CPU hosts, GPU nodes with GPU nodes).
-        Every static chunk then restores in one
-        :func:`~repro.core.static_trr.restore_streams` call, which also
-        flushes each run's final chunk."""
-        todo = [(run, chunk) for run, chunk in pending
-                if run.ctx.mode == "static" and chunk.restored is None]
-        if len(todo) < 2:
-            return  # nothing to stack; the restore stage's own pass is identical
-        with self.service.tracer.span("monitor.restore"):
-            spans = restore_streams(
-                [run.ctx.restorer for run, _ in todo],
-                [chunk.pmcs for _, chunk in todo],
-                [chunk.final for _, chunk in todo],
-                self._stacked_residuals(todo),
-            )
-        for (_, chunk), span in zip(todo, spans):
-            chunk.restored = span
-
-    def _stacked_residuals(self, todo) -> list:
-        """Each static chunk's ResModel output from one TreeStack descent
-        per PMC width, or None where its run's tree has no width-mate."""
-        residuals = [None] * len(todo)
-        groups: "dict[int, list]" = {}
-        for i, (run, chunk) in enumerate(todo):
-            tree = single_tree_of(run.ctx.restorer._trr.res_model_)
-            if tree is not None:
-                groups.setdefault(chunk.pmcs.shape[1], []).append((i, tree))
-        for width, batchable in groups.items():
-            if len(batchable) < 2:
-                continue  # nothing to amortize; per-chunk predict is identical
-            members = tuple(tree for _, tree in batchable)
-            cached = self._stack_cache.get(width)
-            if cached is not None and cached[0] == members:
-                stack = cached[1]
-            else:
-                stack = TreeStack(list(members))
-                self._stack_cache[width] = (members, stack)
-            parts = stack.predict([todo[i][1].pmcs for i, _ in batchable])
-            for (i, _), residual in zip(batchable, parts):
-                residuals[i] = residual
-        return residuals
-
-    def _batch_online(self, pending) -> None:
-        """Pre-fill dynamic chunks' restored node power, training the
-        fleet's fine-tunes as node stacks (the restore stage then skips its
-        own session call).
-
-        Every dynamic run's chunk step advances in lockstep: each round
-        moves every session to its next IM reading (forecasting the seconds
-        before it) and collects the fine-tune job the reading hands back;
-        the round's jobs then train as one stack per (buffer length, step
-        budget) before every session resumes."""
-        todo = [(run, chunk) for run, chunk in pending
-                if run.ctx.mode == "dynamic" and chunk.p_node is None]
-        if len(todo) < 2:
-            return  # nothing to stack; the session's own run_chunk is identical
-        with self.service.tracer.span("monitor.restore"), \
-                self.service.tracer.span("trr.dynamic"):
-            steppers = []
-            for run, chunk in todo:
-                chunk.p_node = np.empty(chunk.n_samples)
-                steppers.append(run.ctx.restorer.chunk_steps(
-                    chunk.pmcs, run.ctx.readings, chunk.p_node
-                ))
-            while steppers:
-                jobs = [next(steps, None) for steps in steppers]
-                steppers = [s for s, job in zip(steppers, jobs) if job is not None]
-                run_fine_tunes([job for job in jobs if job is not None])
-
-    def _batch_attribution(self, restored) -> None:
-        """Pre-fill component splits with one forward per attribution head.
-
-        Chunks are grouped by their run's head (i.e. by device class) and
-        each head maps its group in a single ``predict_batched`` call —
-        two-way heads fill (P_CPU, P_MEM), three-way heads also P_GPU."""
-        groups: "dict[int, list]" = {}
-        heads: "dict[int, object]" = {}
-        for run, c in restored:
-            if c.p_cpu is not None:
-                continue
-            key = id(run.ctx.head)
-            heads[key] = run.ctx.head
-            groups.setdefault(key, []).append((run, c))
-        for key, todo in groups.items():
-            if len(todo) < 2:
-                continue
-            with self.service.tracer.span("monitor.attribute"):
-                splits = heads[key].predict_batched(
-                    [(c.pmcs, c.p_node) for _, c in todo]
-                )
-            for (_, c), parts in zip(todo, splits):
-                apply_attribution(c, parts)
+            items.append((run.ctx, chunk))
+        stages = range(len(self.pipeline.stages))
+        for i in stages[:-1]:
+            items = self.pipeline.apply_all(items, i)
+            # a chunk a stage held back (the static restorer's fusion
+            # window) is safe there
+            at_risk.intersection_update(ctx.node_id for ctx, _ in items)
+        sunk: list = []
+        try:
+            self.pipeline.apply_all(items, stages[-1], sunk)
+        finally:  # a run leaves at_risk as soon as its chunk is sunk
+            for ctx, chunk in sunk:
+                self._runs[ctx.node_id].chunks.append(chunk)
+                at_risk.discard(ctx.node_id)
 
     # ---------------------------------------------------------- end of run
     def _close(self, run: _FleetRun) -> MonitorResult:

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.dynamic_trr import run_fine_tunes
 from ..core.highrpm import PROV_MODEL_ONLY, provenance_from_readings
 from ..core.static_trr import restore_streams
 from ..errors import SensorError, ValidationError
+from ..obs import current_tracer
 from ..sensors.base import SparseReadings
 from ..stream import PowerChunk, RunContext, Stage, StreamPipeline, chunk_spans
 from .profile import apply_attribution
@@ -251,6 +253,9 @@ class RestoreStage(Stage):
     it), whose output spans lag the input by half a miss-interval
     (Algorithm-1 holds reach that far back) — the emitted chunks are
     re-spanned accordingly and still tile the run exactly.
+
+    A batch restores as stacks across its runs, bit-identical per run to
+    restoring each run on its own.
     """
 
     name = "restore"
@@ -276,33 +281,62 @@ class RestoreStage(Stage):
                 outage_factor=ctx.model.config.resync_gap_factor,
             )
 
-    def process(self, ctx: ObservationContext, chunk: PowerChunk):
-        if ctx.mode == "static":
-            return self._static(ctx, chunk)
-        if chunk.p_node is None:  # the fleet front-end pre-fills in stacks
-            readings = ctx.readings if ctx.mode == "dynamic" else None
-            chunk.p_node = ctx.restorer.run_chunk(chunk.pmcs, readings)
-        chunk.mode = ctx.mode
-        chunk.provenance = self._provenance(ctx, chunk.start, chunk.stop)
-        return chunk
+    def process_all(self, items, out: list) -> None:
+        """Restore a batch: every static chunk in one
+        :func:`~repro.core.static_trr.restore_streams` pass (which also
+        flushes each run's final chunk), every dynamic and model-only chunk
+        in one lockstep online step; a static chunk held back until its
+        fusion window closes emits nothing."""
+        static = [(ctx, chunk) for ctx, chunk in items if ctx.mode == "static"]
+        spans = iter(restore_streams([ctx.restorer for ctx, _ in static],
+                                     [chunk.pmcs for _, chunk in static],
+                                     [chunk.final for _, chunk in static]))
+        self._online([(ctx, chunk) for ctx, chunk in items
+                      if ctx.mode != "static"])
+        for ctx, chunk in items:
+            if ctx.mode != "static":
+                chunk.mode = ctx.mode
+                chunk.provenance = self._provenance(ctx, chunk.start, chunk.stop)
+                out.append((ctx, chunk))
+                continue
+            start, vals = next(spans)
+            if vals.shape[0] == 0:
+                continue  # held back until the fusion window closes
+            stop = start + vals.shape[0]
+            out.append((ctx, PowerChunk(
+                node_id=chunk.node_id, workload=chunk.workload,
+                start=start, stop=stop, seq=chunk.seq, final=chunk.final,
+                mode="static",
+                pmcs=ctx.bundle.pmcs.matrix[start:stop],
+                p_node=vals,
+                provenance=self._provenance(ctx, start, stop),
+            )))
 
-    def _static(self, ctx: ObservationContext, chunk: PowerChunk):
-        if chunk.restored is None:  # the fleet front-end pre-fills in stacks
-            chunk.restored = restore_streams(
-                [ctx.restorer], [chunk.pmcs], [chunk.final]
-            )[0]
-        start, vals = chunk.restored
-        if vals.shape[0] == 0:
-            return None  # held back until the fusion window closes
-        stop = start + vals.shape[0]
-        return PowerChunk(
-            node_id=chunk.node_id, workload=chunk.workload,
-            start=start, stop=stop, seq=chunk.seq, final=chunk.final,
-            mode="static",
-            pmcs=ctx.bundle.pmcs.matrix[start:stop],
-            p_node=vals,
-            provenance=self._provenance(ctx, start, stop),
-        )
+    @staticmethod
+    def _online(items) -> None:
+        """Fill dynamic and model-only chunks' node power, training the
+        batch's fine-tunes as node stacks.
+
+        Every session's chunk step advances in lockstep: each round moves
+        every session to its next IM reading (forecasting the seconds
+        before it) and collects the fine-tune job the reading hands back;
+        the round's jobs then train as one stack per (buffer length, step
+        budget) before every session resumes. Model-only sessions have no
+        readings and finish in the first round."""
+        if not items:
+            return
+        with current_tracer().span("trr.dynamic"):
+            steppers = []
+            for ctx, chunk in items:
+                chunk.p_node = np.empty(chunk.n_samples)
+                readings = ctx.readings if ctx.mode == "dynamic" else None
+                steppers.append(ctx.restorer.chunk_steps(
+                    chunk.pmcs, readings, chunk.p_node
+                ))
+            while steppers:
+                jobs = [next(steps, None) for steps in steppers]
+                steppers = [s for s, job in zip(steppers, jobs) if job is not None]
+                run_fine_tunes([job for job in jobs if job is not None])
 
     def _provenance(self, ctx: ObservationContext, start: int, stop: int):
         if ctx.mode == "model_only":
@@ -316,18 +350,22 @@ class AttributeStage(Stage):
     CPU-only classes split two ways (SRR); accelerated classes split
     three ways (GPUSRR), filling ``chunk.p_gpu`` as well. The head is
     resolved per run from the node's device class, so one pipeline serves
-    a heterogeneous fleet.
+    a heterogeneous fleet: a batch maps each head's chunks in one
+    ``predict_batched`` forward.
     """
 
     name = "attribute"
     span = "monitor.attribute"
 
-    def process(self, ctx: ObservationContext, chunk: PowerChunk) -> PowerChunk:
-        if chunk.p_cpu is None:  # the fleet front-end pre-fills in batches
-            apply_attribution(
-                chunk, ctx.head.predict(chunk.pmcs, chunk.p_node)
-            )
-        return chunk
+    def process_all(self, items, out: list) -> None:
+        groups: "dict[int, tuple]" = {}
+        for ctx, chunk in items:
+            groups.setdefault(id(ctx.head), (ctx.head, []))[1].append(chunk)
+        for head, chunks in groups.values():
+            splits = head.predict_batched([(c.pmcs, c.p_node) for c in chunks])
+            for chunk, parts in zip(chunks, splits):
+                apply_attribution(chunk, parts)
+        out.extend(items)
 
 
 class SinkStage(Stage):

@@ -41,9 +41,6 @@ class PowerChunk:
     #: heads (GPU device classes), None on CPU-only nodes.
     p_gpu: "np.ndarray | None" = None
     provenance: "np.ndarray | None" = None
-    #: the static restorer's ``(start, p_node)`` output for this chunk (the
-    #: fleet front-end restores static chunks across nodes in one pass).
-    restored: "tuple[int, np.ndarray] | None" = None
 
     @property
     def n_samples(self) -> int:

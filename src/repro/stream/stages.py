@@ -7,17 +7,19 @@ serve many interleaved runs (the monitor's run driver,
 shared stages).
 
 Lifecycle per run: :meth:`StreamPipeline.open_run` fires every stage's
-``open_run`` in order, the driver then steps each source chunk through the
-stages with :meth:`StreamPipeline.apply`, and
-:meth:`StreamPipeline.close_run` fires every stage's ``close_run``.
-``process`` may return a chunk, a list of chunks, or None (absorbed — e.g.
-the static restorer holding samples back until its fusion window closes;
-it releases its tail with the source's ``final`` chunk, so nothing is
-left over once the source is exhausted).
+``open_run`` in order, the driver then steps the source chunks through the
+stages, and :meth:`StreamPipeline.close_run` fires every stage's
+``close_run``. ``process`` may return a chunk, a list of chunks, or None
+(absorbed — e.g. the static restorer holding samples back until its fusion
+window closes; it releases its tail with the source's ``final`` chunk, so
+nothing is left over once the source is exhausted).
 
-The pipeline wraps every ``open_run`` and ``process`` call in the stage's
-tracer span and counts chunks/samples entering each stage, so per-stage
-latency and throughput come for free in the ambient observability stack.
+A step is a batch: :meth:`StreamPipeline.apply_all` runs one stage's
+:meth:`Stage.process_all` over ``(ctx, chunk)`` items — a fleet tick's
+chunks, one per run — under one tracer span, and counts the chunks and
+samples entering the stage; :meth:`StreamPipeline.apply` is the batch of
+one. Per-stage latency and throughput come for free in the ambient
+observability stack.
 """
 
 from __future__ import annotations
@@ -58,6 +60,18 @@ class Stage:
         """Transform one chunk; return a chunk, a list of chunks, or None."""
         return chunk
 
+    def process_all(self, items, out: list) -> None:
+        """Process a batch of ``(ctx, chunk)`` items, appending each emitted
+        ``(ctx, chunk)`` to ``out`` in item order. The default steps each
+        item through :meth:`process`; a stage that batches across runs
+        overrides this instead."""
+        for ctx, chunk in items:
+            emitted = self.process(ctx, chunk)
+            if isinstance(emitted, PowerChunk):
+                out.append((ctx, emitted))
+            elif emitted is not None:
+                out.extend((ctx, c) for c in emitted)
+
     def close_run(self, ctx: RunContext) -> None:
         """Run-scoped teardown (sinks end the run here)."""
 
@@ -68,12 +82,12 @@ class StreamPipeline:
     def __init__(self, stages: "list[Stage]") -> None:
         self.stages = list(stages)
         #: per-registry cache of the two per-stage counter children, so the
-        #: per-chunk hot path skips family lookup and label validation. A
+        #: per-batch hot path skips family lookup and label validation. A
         #: pipeline normally runs under exactly one ambient registry; the
         #: size guard keeps pathological registry churn bounded.
         self._enter_cache: "dict[object, dict[str, tuple]]" = {}
 
-    def _enter(self, stage: Stage, chunk: PowerChunk) -> None:
+    def _enter(self, stage: Stage, items) -> None:
         registry = get_registry()
         per_registry = self._enter_cache.get(registry)
         if per_registry is None:
@@ -92,8 +106,8 @@ class StreamPipeline:
                     "Samples entering each pipeline stage.", ("stage",),
                 ).labels(stage=stage.name),
             )
-        pair[0].inc()
-        pair[1].inc(chunk.n_samples)
+        pair[0].inc(len(items))
+        pair[1].inc(sum(chunk.n_samples for _, chunk in items))
 
     def _timed(self, stage: Stage, fn, *args):
         if stage.span is None:
@@ -101,8 +115,8 @@ class StreamPipeline:
         with current_tracer().span(stage.span):
             return fn(*args)
 
-    # The run driver interleaves many runs, pausing between stages to
-    # batch inference across them, so the pipeline exposes single steps.
+    # The run driver interleaves many runs, stepping all of them through
+    # one stage before the next, so the pipeline exposes single steps.
     def open_run(self, ctx: RunContext, start: int = 0,
                  stop: "int | None" = None) -> None:
         """Fire ``open_run`` of stages ``[start, stop)`` (default: all)."""
@@ -115,9 +129,17 @@ class StreamPipeline:
 
     def apply(self, ctx: RunContext, chunk: PowerChunk, i: int) -> "list[PowerChunk]":
         """Run exactly stage ``i`` on one chunk; returns what it emitted."""
-        stage = self.stages[i]
-        self._enter(stage, chunk)
-        emitted = self._timed(stage, stage.process, ctx, chunk)
-        if emitted is None:
-            return []
-        return [emitted] if isinstance(emitted, PowerChunk) else list(emitted)
+        return [c for _, c in self.apply_all([(ctx, chunk)], i)]
+
+    def apply_all(self, items, i: int, out: "list | None" = None) -> list:
+        """Run exactly stage ``i`` on a batch of ``(ctx, chunk)`` items;
+        returns ``out`` (a new list by default) with the emitted pairs
+        appended as the stage emits them, so a caller whose stage raised
+        still sees what it had finished. An empty batch is a no-op."""
+        if out is None:
+            out = []
+        if items:
+            stage = self.stages[i]
+            self._enter(stage, items)
+            self._timed(stage, stage.process_all, items, out)
+        return out

@@ -28,6 +28,7 @@ from repro.monitor import (
     SamplingGovernor,
 )
 from repro.monitor import fleet as fleet_module
+from repro.monitor import pipeline as pipeline_module
 from repro.monitor.pipeline import GateStage, IngestStage
 from repro.obs import MetricsRegistry
 from repro.perf import CompiledTree, TreeStack, single_tree_of
@@ -216,13 +217,13 @@ class TestFleetMonitor:
             opens.append(sorted(len(r) for r in readings))
             return fit_streams(trrs, pmcs_rows, readings)
 
-        def restore_spy(streams, pmc_chunks, finals, residual_hats):
+        def restore_spy(streams, pmc_chunks, finals, residual_hats=None):
             positions.append({s.samples_fed for s in streams})
             return restore_streams(streams, pmc_chunks, finals, residual_hats)
 
-        monkeypatch.setattr(fleet_module, "run_fine_tunes", spy)
+        monkeypatch.setattr(pipeline_module, "run_fine_tunes", spy)
         monkeypatch.setattr(fleet_module, "fit_streams", fit_spy)
-        monkeypatch.setattr(fleet_module, "restore_streams", restore_spy)
+        monkeypatch.setattr(pipeline_module, "restore_streams", restore_spy)
         # The governor thins the feeds from the second round on.
         n_rounds = 2 if hetero else 1
         seq, seq_errors = [], {}
@@ -235,7 +236,10 @@ class TestFleetMonitor:
                     )
                 except Exception as exc:  # the strict dead feed raises
                     seq_errors[nid] = type(exc)
-        rounds.clear()  # a fleet of one has nothing to stack
+        # a fleet of one restores through stacks of one; only the fleet's
+        # stacks are inspected below
+        rounds.clear()
+        positions.clear()
         assert opens == []
         fleet = FleetMonitor(fleet_svc, chunk_size=16)
         fleet_errors, results = {}, []
@@ -399,6 +403,46 @@ class TestFleetMonitor:
         # The fleet keeps serving: a fresh run restores the whole bundle.
         again = fleet.observe_all({"fl-b": bundle}, online=False)
         assert len(again["fl-b"]) == len(bundle)
+
+    def test_failed_pre_restore_stage_loses_the_runs_its_tick_carried(
+        self, chaos_reference, monkeypatch
+    ):
+        _, bundle = chaos_reference
+        short = bundle.slice(0, 16)  # one chunk: finishes on the first tick
+        _, svc = _twin_services(chaos_reference, self.NODE_IDS + ("fl-s",))
+        fleet = FleetMonitor(svc, chunk_size=16)
+        for nid in self.NODE_IDS:
+            fleet.submit(nid, bundle)
+        fleet.submit("fl-s", short)
+        first = fleet.tick()
+        assert set(first) == {"fl-s"}
+        ingest = IngestStage.process
+
+        def breaks_on_b(stage, ctx, chunk):
+            if ctx.node_id == "fl-b":
+                raise RuntimeError("PMC read failed")
+            return ingest(stage, ctx, chunk)
+
+        # The ingest batch raises part-way through the tick's chunks: every
+        # run the tick carried is lost, before and after fl-b alike.
+        monkeypatch.setattr(IngestStage, "process", breaks_on_b)
+        with pytest.raises(RuntimeError, match="PMC read failed"):
+            fleet.tick()
+        monkeypatch.setattr(IngestStage, "process", ingest)
+        failed = svc.registry.counter(
+            "repro_monitor_failed_runs_total", "", ("node",)
+        )
+        assert [failed.labels(node=nid).value for nid in self.NODE_IDS] \
+            == [1.0, 1.0, 1.0]
+        assert failed.labels(node="fl-s").value == 0.0
+        assert fleet.active_nodes == ()
+        assert all(svc.health(nid).runs == 0 for nid in self.NODE_IDS)
+        # The fleet keeps serving: fresh runs restore the whole bundle, and
+        # the earlier losses are not counted again.
+        again = fleet.observe_all({"fl-a": bundle, "fl-b": bundle})
+        assert all(len(again[nid]) == len(bundle) for nid in ("fl-a", "fl-b"))
+        assert [failed.labels(node=nid).value for nid in self.NODE_IDS] \
+            == [1.0, 1.0, 1.0]
 
     def test_submit_all_loses_only_the_runs_whose_feed_raised(
         self, chaos_reference, monkeypatch
@@ -564,3 +608,71 @@ class TestFleetMonitor:
             "repro_stream_chunks_total", "", ("stage",)
         )
         assert chunks.labels(stage="ingest").value >= len(self.NODE_IDS)
+
+    #: (online, chunk size) -> per-stage (chunks, samples) entering each
+    #: stage over the whole fleet drain, as the per-chunk driver counted
+    #: them; the static restorer holds three first chunks back.
+    STAGE_TOTALS = {
+        (True, 64): {stage: (9.0, 450.0) for stage in (
+            "ingest", "calibrate", "gate", "restore", "attribute", "sink")},
+        (False, 4): {"ingest": (114.0, 450.0), "calibrate": (114.0, 450.0),
+                     "gate": (114.0, 450.0), "restore": (114.0, 450.0),
+                     "attribute": (111.0, 450.0), "sink": (111.0, 450.0)},
+    }
+
+    @pytest.mark.parametrize("online, chunk_size", [(True, 64), (False, 4)],
+                             ids=["online", "offline-held-back"])
+    def test_stage_counters_count_chunks_and_spans_close_once_per_tick(
+        self, chaos_reference, online, chunk_size
+    ):
+        reference, bundle = chaos_reference
+        svc = PowerMonitorService(reference.model, reference.spec,
+                                  registry=MetricsRegistry())
+        for i, nid in enumerate(self.NODE_IDS):
+            svc.register_node(nid, seed=400 + i)
+        fleet = FleetMonitor(svc, chunk_size=chunk_size)
+        fleet.submit_all({nid: bundle for nid in self.NODE_IDS}, online=online)
+        counters = [svc.registry.counter(name, "", ("stage",)) for name in
+                    ("repro_stream_chunks_total", "repro_stream_samples_total")]
+        stages = fleet.pipeline.stages
+
+        def state():
+            stats = svc.tracer.stats()
+            return [(counters[0].labels(stage=stage.name).value,
+                     stats[stage.span].count) for stage in stages]
+
+        idle = []  # (tick, stage) pairs the tick carried no chunk into
+        while fleet.active_nodes:
+            before = state()
+            fleet.tick()
+            for stage, (c0, s0), (c1, s1) in zip(stages, before, state()):
+                # one span per stage per tick that carried chunks into it
+                assert s1 - s0 == (1 if c1 > c0 else 0), stage.name
+                if c1 == c0:
+                    idle.append(stage.name)
+        # the offline fleet's first tick only fills the fusion windows
+        assert idle == ([] if online else ["attribute", "sink"])
+        assert {stage.name: tuple(c.labels(stage=stage.name).value
+                                  for c in counters)
+                for stage in stages} == self.STAGE_TOTALS[online, chunk_size]
+
+    def test_static_tree_stack_is_reused_across_ticks(
+        self, chaos_reference, monkeypatch
+    ):
+        _, bundle = chaos_reference
+        built = []
+        init = TreeStack.__init__
+
+        def counting_init(stack, trees) -> None:
+            built.append(len(trees))
+            init(stack, trees)
+
+        monkeypatch.setattr(TreeStack, "__init__", counting_init)
+        _, svc = _twin_services(chaos_reference, self.NODE_IDS)
+        fleet = FleetMonitor(svc, chunk_size=16)
+        fleet.observe_all({nid: bundle for nid in self.NODE_IDS}, online=False)
+        assert svc.registry.counter(
+            "repro_stream_chunks_total", "", ("stage",)
+        ).labels(stage="restore").value > 3 * len(self.NODE_IDS)
+        # one stack of the three runs' trees, built on the first tick
+        assert built == [len(self.NODE_IDS)]

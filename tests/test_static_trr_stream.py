@@ -5,11 +5,13 @@ exactly the whole-run result, because the monitor's streaming pipeline and
 the fleet front-end both lean on it.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import DynamicTRR, HighRPMConfig, StaticTRR
-from repro.core.static_trr import fit_streams, restore_streams
+from repro.core.static_trr import StaticTRRStream, fit_streams, restore_streams
 from repro.errors import ValidationError
 from repro.hardware import ARM_PLATFORM
 from repro.interp import CubicSplineInterpolator, LinearInterpolator
@@ -241,6 +243,55 @@ class TestRestoreStreams:
             restore_streams([a, a], [pmcs[:10], pmcs[10:20]], [False, False])
         assert a.samples_fed == b.samples_fed == 0
         assert restore_streams([], [], []) == []
+
+
+class TestRestoreStreamsMemory:
+    """A stacked pass's transient memory stays near the runs' own."""
+
+    def _fitted(self, small_bundle, n):
+        """A StaticTRR fitted on an ``n``-s run, its PMCs and readings."""
+        run = small_bundle.slice(0, n)
+        readings = IPMISensor(ARM_PLATFORM, interval_s=10, seed=5).sample(run)
+        trr = StaticTRR(HighRPMConfig(miss_interval=10),
+                        p_upper=ARM_PLATFORM.max_node_power_w,
+                        p_bottom=ARM_PLATFORM.min_node_power_w)
+        x = run.pmcs.matrix
+        trr.fit_stream(x[readings.indices], readings)
+        return trr, x, readings
+
+    def test_tails_do_not_keep_the_pass_alive(self, small_bundle):
+        trr, x, readings = self._fitted(small_bundle, 150)
+        streams = [StaticTRRStream(trr, readings) for _ in range(4)]
+        restore_streams(streams, [x[:32]] * 4, [False] * 4)
+        for stream in streams:
+            scan = stream._scan
+            assert scan.w_tail.shape[0] == scan.fed - scan.emitted > 0
+            for tail in (scan.w_tail, scan.r_tail):
+                assert tail.base is None  # a copy, not a view of the pass
+
+    def test_stacked_peak_is_bounded_by_the_runs_one_by_one(self,
+                                                            small_bundle):
+        runs, n = 512, 60
+        trr, x, readings = self._fitted(small_bundle, n)
+
+        def peak(restore) -> int:
+            restore([StaticTRRStream(trr, readings) for _ in range(runs)])
+            streams = [StaticTRRStream(trr, readings) for _ in range(runs)]
+            tracemalloc.start()
+            try:
+                restore(streams)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        stacked = peak(lambda streams: restore_streams(
+            streams, [x] * runs, [True] * runs))
+        alone = peak(lambda streams: [
+            restore_streams([s], [x], [True])[0] for s in streams])
+        # The stacked pass lays every run's span end to end, so it needs a
+        # few span-sized working arrays beyond the outputs the runs keep
+        # either way: the budget is six (the unfused pass needed over 11).
+        assert stacked - alone < 6 * runs * n * 8
 
 
 class TestOnlineChunks:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.monitor import MemoryLogSink, MonitorLog
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, Tracer, use_registry, use_tracer
 from repro.stream import (
     JsonlSink,
     PowerChunk,
@@ -127,6 +127,93 @@ class TestStreamPipeline:
         [chunk] = _chunks(1)
         emitted = pipe.apply(ctx, chunk, 0)
         assert len(emitted) == 1 and np.all(emitted[0].p_node == 2.0)
+
+
+class _Traced(_Double):
+    name = "traced"
+    span = "toy.traced"
+
+
+class TestApplyAll:
+    """One stage over a batch of (ctx, chunk) items from several runs."""
+
+    def _items(self, n_runs=3):
+        ctxs = [RunContext(f"n{i}", "w", 8) for i in range(n_runs)]
+        return [(ctx, chunk) for ctx in ctxs for chunk in _chunks(1)]
+
+    def test_steps_every_item_in_order_under_one_span(self):
+        registry, tracer = MetricsRegistry(), Tracer()
+        pipe = StreamPipeline([_Traced(), _Collect()])
+        items = self._items()
+        for ctx, _ in items:
+            pipe.open_run(ctx)
+        with use_registry(registry), use_tracer(tracer):
+            out = pipe.apply_all(items, 0)
+            out = pipe.apply_all(out, 1)
+        assert [ctx for ctx, _ in out] == [ctx for ctx, _ in items]
+        assert all(ctx.collected == [chunk] and np.all(chunk.p_node == 2.0)
+                   for ctx, chunk in out)
+        assert tracer.stats()["toy.traced"].count == 1
+        for stage in ("traced", "collect"):
+            assert registry.counter(
+                "repro_stream_chunks_total", "", ("stage",)
+            ).labels(stage=stage).value == 3.0
+            assert registry.counter(
+                "repro_stream_samples_total", "", ("stage",)
+            ).labels(stage=stage).value == 12.0
+
+    def test_empty_batch_opens_no_span_and_counts_nothing(self):
+        registry, tracer = MetricsRegistry(), Tracer()
+        with use_registry(registry), use_tracer(tracer):
+            assert StreamPipeline([_Traced()]).apply_all([], 0) == []
+        assert "toy.traced" not in tracer.stats()
+        assert registry.counter(
+            "repro_stream_chunks_total", "", ("stage",)
+        ).labels(stage="traced").value == 0.0
+
+    def test_emitted_lists_and_absorbed_chunks(self):
+        class SplitOrAbsorb(Stage):
+            name = "split"
+
+            def process(self, ctx, chunk):
+                if ctx.node_id == "n1":
+                    return None
+                return [chunk, chunk]
+
+        out = StreamPipeline([SplitOrAbsorb()]).apply_all(self._items(), 0)
+        assert [ctx.node_id for ctx, _ in out] == ["n0", "n0", "n2", "n2"]
+
+    def test_out_keeps_what_a_raising_stage_had_finished(self):
+        class FailsOnN1(Stage):
+            name = "fails"
+
+            def process(self, ctx, chunk):
+                if ctx.node_id == "n1":
+                    raise OSError("sink full")
+                return chunk
+
+        items, out = self._items(), []
+        with pytest.raises(OSError, match="sink full"):
+            StreamPipeline([FailsOnN1()]).apply_all(items, 0, out)
+        assert out == items[:1]
+
+    def test_a_stage_can_batch_across_runs(self):
+        class Batched(Stage):
+            name = "batched"
+            calls = []
+
+            def process_all(self, items, out):
+                self.calls.append(len(items))
+                out.extend(items)
+
+        stage = Batched()
+        items = self._items()
+        assert StreamPipeline([stage]).apply_all(items, 0) == items
+        assert stage.calls == [3]
+        # apply is the batch of one
+        ctx, chunk = items[0]
+        assert StreamPipeline([stage]).apply(ctx, chunk, 0) == [chunk]
+        assert stage.calls == [3, 1]
 
 
 class TestJsonlSink:
