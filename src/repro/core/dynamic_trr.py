@@ -94,7 +94,7 @@ class OnlineTRRSession:
     #: (the model drifted unanchored and needs a stronger correction).
     RESYNC_BOOST = 3
 
-    def __init__(self, trr: "DynamicTRR", retain: bool = True) -> None:
+    def __init__(self, trr: "DynamicTRR") -> None:
         self._trr = trr
         self._model = copy.deepcopy(trr.model_)
         # The copy only ever fine-tunes, always at the reduced rate.
@@ -105,12 +105,6 @@ class OnlineTRRSession:
         self._pmcs: "deque[np.ndarray]" = deque(maxlen=w)
         self._hold: "deque[float]" = deque(maxlen=w)  # hold-last-reading channel
         self._t = 0
-        #: retain=False keeps memory O(miss_interval) on arbitrarily long
-        #: runs: per-step estimates are returned but not accumulated (the
-        #: ``estimates``/``measured_mask`` properties stay empty).
-        self._retain = bool(retain)
-        self._estimates: list[float] = []
-        self._measured_mask: list[bool] = []
         self._buffer_X: list[np.ndarray] = []
         self._buffer_y: list[np.ndarray] = []
         self._last_reading_t: "int | None" = None
@@ -125,16 +119,6 @@ class OnlineTRRSession:
     def t(self) -> int:
         """Number of seconds processed so far."""
         return self._t
-
-    @property
-    def estimates(self) -> np.ndarray:
-        """All node-power estimates produced so far (measured where known)."""
-        return np.asarray(self._estimates)
-
-    @property
-    def measured_mask(self) -> np.ndarray:
-        """True where the estimate came straight from an IM reading."""
-        return np.asarray(self._measured_mask)
 
     def _window(self, t: int) -> np.ndarray:
         # The deques hold exactly the last ``min(t+1, w)`` steps — the whole
@@ -199,9 +183,6 @@ class OnlineTRRSession:
         self._hold[-1] = value  # future windows hold the new reading
         self._last_reading_t = t
         self._t = t + 1
-        if self._retain:
-            self._measured_mask.append(True)
-            self._estimates.append(value)
         return job
 
     def _segment_rows(self, pmcs_seg: np.ndarray, prev_hold: float) -> np.ndarray:
@@ -251,9 +232,6 @@ class OnlineTRRSession:
         self._pmcs.extend(pmcs_seg)
         self._hold.extend([prev_hold] * m)
         self._t += m
-        if self._retain:
-            self._estimates.extend(estimates.tolist())
-            self._measured_mask.extend([False] * m)
         return estimates
 
     # repro-lint: disable=boundary-validation — hot path (called once per
@@ -419,16 +397,16 @@ class DynamicTRR:
         self.model_.fit(X_seq, Y_seq)
         return self
 
-    def session(self, retain: bool = True) -> OnlineTRRSession:
+    def session(self) -> OnlineTRRSession:
         """A fresh streaming session with a private copy of the model.
 
-        ``retain=False`` keeps the session's memory bounded on arbitrarily
-        long runs (chunked callers collect ``run_chunk`` outputs instead of
-        reading ``session.estimates``).
+        The session's memory stays bounded on arbitrarily long runs: it
+        returns each step's estimates and keeps only the last
+        miss-interval window.
         """
         if self.model_ is None:
             raise NotFittedError("DynamicTRR.session before fit")
-        return OnlineTRRSession(self, retain=retain)
+        return OnlineTRRSession(self)
 
     def restore(
         self, pmcs: np.ndarray, readings: "SparseReadings | None"

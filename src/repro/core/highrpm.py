@@ -30,7 +30,7 @@ from .config import HighRPMConfig
 from .dataset import build_flat_dataset
 from .dynamic_trr import DynamicTRR, OnlineTRRSession
 from .srr import SRR
-from .static_trr import StaticTRR, StaticTRRStream
+from .static_trr import StaticTRR
 
 
 #: Per-sample provenance codes: the estimate is a direct IM measurement, a
@@ -266,19 +266,6 @@ class HighRPM:
         )
 
     # ------------------------------------------------------------- streaming
-    def offline_stream(
-        self, pmcs_rows: np.ndarray, readings: SparseReadings
-    ) -> "StaticTRRStream":
-        """Fit a per-run StaticTRR and return its bounded-memory stream.
-
-        ``pmcs_rows`` are the PMC rows at the reading instants only —
-        streaming callers never need the dense matrix up front. Chunk
-        outputs concatenate bit-identically to :meth:`monitor_offline`'s
-        ``p_node``.
-        """
-        pmcs_rows = check_2d(pmcs_rows, "pmcs_rows")
-        return self.static_trr().fit_stream(pmcs_rows, readings)
-
     def static_trr(self) -> StaticTRR:
         """A fresh, unfitted per-run StaticTRR under this model's config and
         power limits (:func:`~repro.core.static_trr.fit_streams` fits many
@@ -286,75 +273,10 @@ class HighRPM:
         self._require_fitted()
         return StaticTRR(self.config, p_upper=self.p_upper, p_bottom=self.p_bottom)
 
-    def online_session(self, retain: bool = False) -> "OnlineTRRSession":
+    def online_session(self) -> "OnlineTRRSession":
         """A fresh bounded-memory DynamicTRR session for chunked feeding."""
         self._require_fitted()
-        return self.dynamic_trr.session(retain=retain)
-
-    def monitor_stream(
-        self,
-        pmcs: np.ndarray,
-        readings: "SparseReadings | None",
-        online: bool = True,
-        chunk_size: int = 256,
-    ):
-        """Restore a run incrementally in fixed-size chunks (bounded state).
-
-        A generator of ``(start, MonitorResult)`` pieces in trace order.
-        ``readings=None`` selects model-only mode. The static path's output
-        chunks lag its input chunks by half a miss-interval (Algorithm-1
-        holds reach that far back), so pieces are not aligned with the
-        ``chunk_size`` grid — but they tile ``[0, n)`` exactly, and their
-        concatenation is bit-identical to the matching whole-run
-        ``monitor_online`` / ``monitor_offline`` / ``monitor_model_only``
-        call.
-        """
-        self._require_fitted()
-        pmcs = check_2d(pmcs, "pmcs")
-        n = pmcs.shape[0]
-        if chunk_size < 1:
-            raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
-        if readings is not None and readings.n_dense != n:
-            raise ValidationError(
-                f"readings cover {readings.n_dense} samples but pmcs has {n}"
-            )
-        if readings is not None and not online:
-            stream = self.offline_stream(pmcs[readings.indices], readings)
-            for start in range(0, n, chunk_size):
-                out_start, part = stream.restore_chunk(pmcs[start:start + chunk_size])
-                piece = self._stream_piece(pmcs, readings, out_start, part, "static")
-                if piece is not None:
-                    yield piece
-            out_start, part = stream.finish()
-            piece = self._stream_piece(pmcs, readings, out_start, part, "static")
-            if piece is not None:
-                yield piece
-            return
-        mode = "dynamic" if readings is not None else "model_only"
-        session = self.dynamic_trr.session(retain=False)
-        for start in range(0, n, chunk_size):
-            p_node = session.run_chunk(pmcs[start:start + chunk_size], readings)
-            piece = self._stream_piece(pmcs, readings, start, p_node, mode)
-            if piece is not None:
-                yield piece
-
-    def _stream_piece(self, pmcs, readings, start, p_node, mode):
-        """SRR + provenance for one finalised span; None when it is empty."""
-        if p_node.shape[0] == 0:
-            return None
-        stop = start + p_node.shape[0]
-        p_cpu, p_mem = self.srr.predict(pmcs[start:stop], p_node)
-        if mode == "model_only":
-            prov = np.full(stop - start, PROV_MODEL_ONLY, dtype=np.uint8)
-        else:
-            prov = provenance_from_readings(
-                pmcs.shape[0], readings,
-                outage_factor=self.config.resync_gap_factor,
-                start=start, stop=stop,
-            )
-        return start, MonitorResult(
-            p_node=p_node, p_cpu=p_cpu, p_mem=p_mem, mode=mode, provenance=prov
-        )
+        return self.dynamic_trr.session()
 
     def _provenance(self, n: int, readings: SparseReadings) -> np.ndarray:
         # The readings carry their own nominal spacing (a sensor configured

@@ -205,16 +205,24 @@ class StaticTRR:
         its outputs is bit-identical to ``fit_restore(...).p_trr`` on the
         same trace.
         """
-        return fit_streams([self], [pmcs_rows], [readings])[0]
+        rows = check_2d(pmcs_rows, "pmcs_rows")
+        return fit_streams([self], [rows], [readings])[0]
 
-    def _check_stream_inputs(self, pmcs_rows: np.ndarray,
-                             readings: SparseReadings) -> None:
+    def check_stream(self, pmcs_rows: np.ndarray,
+                     readings: SparseReadings) -> np.ndarray:
+        """Check one run's :meth:`fit_stream` inputs without fitting: the
+        readings cover a trace and hold at least four values, there is one
+        PMC row per reading, and the power limits resolve. Returns the rows
+        as a 2-D array; raises :class:`~repro.errors.ValidationError`."""
+        pmcs_rows = check_2d(pmcs_rows, "pmcs_rows")
         self._check_trace(readings, int(readings.n_dense))
         if pmcs_rows.shape[0] != len(readings):
             raise ValidationError(
                 f"fit_stream needs one PMC row per reading: got "
                 f"{pmcs_rows.shape[0]} rows for {len(readings)} readings"
             )
+        self._limits(readings)
+        return pmcs_rows
 
 
 def fit_streams(trrs, pmcs_rows, readings) -> "list[StaticTRRStream]":
@@ -225,12 +233,11 @@ def fit_streams(trrs, pmcs_rows, readings) -> "list[StaticTRRStream]":
     fold splines fit as one stack per knot count, and the fold splines are
     evaluated at their held-out knots in one pass; each run's ResModel
     still fits on its own. Each returned stream is bitwise equal to the
-    run's own ``fit_stream``. A malformed run raises before any run is
-    fitted.
+    run's own ``fit_stream``. A run that fails :meth:`StaticTRR.check_stream`
+    raises before any run is fitted.
     """
-    rows = [check_2d(p, "pmcs_rows") for p in pmcs_rows]
-    for trr, p, r in zip(trrs, rows, readings):
-        trr._check_stream_inputs(p, r)
+    rows = [trr.check_stream(p, r)
+            for trr, p, r in zip(trrs, pmcs_rows, readings)]
     _fit_all(trrs, rows, readings)
     return [StaticTRRStream(trr, r) for trr, r in zip(trrs, readings)]
 

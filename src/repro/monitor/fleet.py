@@ -5,9 +5,10 @@ nodes (§4.1). :class:`FleetMonitor` is the only driver of the observation
 pipeline: it opens a run per node, interleaves the registered nodes' runs
 chunk by chunk, and closes each run when its source is exhausted.
 ``PowerMonitorService.observe_run`` is a fleet of one. A round's runs
-open in one pass, in which every static run's StaticTRR splines fit as
-one stack per knot count. A tick is the unit of work: every active run's
-next chunk goes through each stage as one batch
+open as one batch per stage (:meth:`~repro.stream.StreamPipeline.open_all`),
+and the restore stage fits every static run's StaticTRR in that batch as
+one stack (splines stacked per knot count). A tick is the unit of work:
+every active run's next chunk goes through each stage as one batch
 (:meth:`~repro.stream.StreamPipeline.apply_all`), and the restore and
 attribute stages batch their predict calls across the tick's runs through
 the compiled flat-array layer:
@@ -46,7 +47,6 @@ from ..core.highrpm import (
     PROV_RESTORED,
     MonitorResult,
 )
-from ..core.static_trr import fit_streams
 from ..errors import ValidationError
 from ..obs import use_registry, use_tracer
 from ..types import TraceBundle
@@ -87,7 +87,7 @@ class FleetMonitor:
     the fleet. ``observe_all`` is the submit-and-drain convenience
     wrapper.
 
-    A step that raises loses every run whose chunk it was carrying: those
+    A tick that raises loses every run whose chunk it was carrying: those
     runs leave the active set and count once in
     ``repro_monitor_failed_runs_total{node}``, and the exception
     propagates. The profiler prices every step and counts a run (and its
@@ -103,8 +103,6 @@ class FleetMonitor:
         #: state travels on an ObservationContext.
         self.pipeline = build_pipeline()
         self._runs: "dict[str, _FleetRun]" = {}
-        #: where submit_all splits its open pass, resolved by name once.
-        self._restore_i = [s.name for s in self.pipeline.stages].index("restore")
 
     @property
     def active_nodes(self) -> tuple:
@@ -146,15 +144,18 @@ class FleetMonitor:
     def submit_all(self, runs, online: bool = True) -> None:
         """Open one run per ``{node_id: bundle}`` entry (or pair) in one pass.
 
-        Per run, the feed stages (ingest, calibrate, gate) open; then every
-        static run's StaticTRR fits in one stacked pass
-        (:meth:`_batch_open`); then per run the remaining stages open.
+        The pass opens the runs stage-major
+        (:meth:`~repro.stream.StreamPipeline.open_all`): each stage once
+        over every run still standing, the restore stage fitting every
+        static run's StaticTRR as one stack.
 
         A run whose open raises is lost alone: it counts once in
         ``repro_monitor_failed_runs_total``, the other runs still open, and
-        the first such exception re-raises once the pass is done. An
-        unknown node, or one with a run in flight (or named twice), raises
-        before any run opens.
+        the first exception raised in the pass re-raises once the pass is
+        done. A stacked StaticTRR fit that raises after every run passed
+        its checks loses every static run of the stack. An unknown node, or
+        one with a run in flight (or named twice), raises before any run
+        opens.
         """
         items = runs.items() if hasattr(runs, "items") else runs
         pending = []  # (context, health counters before the run)
@@ -172,55 +173,17 @@ class FleetMonitor:
                                   health.outages, health.degraded_runs)))
         if not pending:
             return
-        errors: "list[Exception]" = []
         with self._step("fleet.submit", set()):
-            pending = [(ctx, before) for ctx, before in pending
-                       if self._open(ctx, 0, self._restore_i, errors)]
-            self._batch_open([ctx for ctx, _ in pending])
+            lost = self.pipeline.open_all([ctx for ctx, _ in pending])
+            dead = {ctx.node_id for ctx, _ in lost}
+            self._lose(dead)
             for ctx, before in pending:
-                if self._open(ctx, self._restore_i, None, errors):
+                if ctx.node_id not in dead:
                     self._runs[ctx.node_id] = _FleetRun(
                         ctx, input_chunks(ctx), before
                     )
-        if errors:
-            raise errors[0]
-
-    def _open(self, ctx, start: int, stop: "int | None", errors) -> bool:
-        """Open stages ``[start, stop)`` of one run; a raise loses the run
-        alone and is kept in ``errors``."""
-        try:
-            self.pipeline.open_run(ctx, start, stop)
-        except Exception as exc:  # the rest of the pass still opens
-            self._lose((ctx.node_id,))
-            errors.append(exc)
-            return False
-        return True
-
-    def _batch_open(self, contexts) -> None:
-        """Pre-fill static runs' restorers, fitting every run's StaticTRR
-        splines as one stack per knot count (the restore stage then skips
-        its own fit).
-
-        Static runs of every device class fit together: the spline stacks
-        group by knot count alone, and each run keeps its own model's
-        config, power limits and ResModel. If the stacked fit raises, no
-        restorer is filled: each run then fits on its own in the restore
-        stage, where only the run at fault raises."""
-        static = [ctx for ctx in contexts if ctx.mode == "static"]
-        if len(static) < 2:
-            return  # nothing to stack; the restore stage's own fit is identical
-        try:
-            with self.service.tracer.span("monitor.restore"):
-                streams = fit_streams(
-                    [ctx.model.static_trr() for ctx in static],
-                    [ctx.bundle.pmcs.matrix[ctx.readings.indices]
-                     for ctx in static],
-                    [ctx.readings for ctx in static],
-                )
-        except Exception:  # the per-run fits find the run at fault
-            return
-        for ctx, stream in zip(static, streams):
-            ctx.restorer = stream
+        if lost:
+            raise lost[0][1]
 
     def tick(self) -> "dict[str, MonitorResult]":
         """Advance every active run by one chunk; returns finished runs."""

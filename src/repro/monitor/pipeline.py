@@ -6,7 +6,9 @@ objects. Stages are stateless; everything mutable for one observed run
 lives on the :class:`ObservationContext`, so the same stage instances
 serve many interleaved runs. The run driver,
 :class:`~repro.monitor.fleet.FleetMonitor`, drives one context per node
-through the shared stages.
+through the shared stages, a round's opens and a tick's chunks each as
+one batch per stage: the ingest, calibrate and gate stages open run by
+run, the restore stage fits every static run of the round in one stack.
 
 Degradation policy is centralised in
 :meth:`ObservationContext.fail_or_degrade`: any stage that finds the IM
@@ -20,7 +22,7 @@ import numpy as np
 
 from ..core.dynamic_trr import run_fine_tunes
 from ..core.highrpm import PROV_MODEL_ONLY, provenance_from_readings
-from ..core.static_trr import restore_streams
+from ..core.static_trr import fit_streams, restore_streams
 from ..errors import SensorError, ValidationError
 from ..obs import current_tracer
 from ..sensors.base import SparseReadings
@@ -61,9 +63,9 @@ class ObservationContext(RunContext):
         #: set when the run degraded to model-only; consumed by the
         #: driver's end-of-run health bookkeeping.
         self.degrade_reason: "str | None" = None
-        #: bounded-memory restorer chosen by RestoreStage.open_run.
+        #: bounded-memory restorer chosen by RestoreStage.open_all.
         self.restorer = None
-        #: whole-run provenance flags, computed once at RestoreStage.open_run
+        #: whole-run provenance flags, computed once at RestoreStage.open_all
         #: and sliced per chunk (None until then / for model-only runs).
         self.provenance_full: "np.ndarray | None" = None
         #: sinks receiving this run's finished chunks.
@@ -254,32 +256,55 @@ class RestoreStage(Stage):
     (Algorithm-1 holds reach that far back) — the emitted chunks are
     re-spanned accordingly and still tile the run exactly.
 
-    A batch restores as stacks across its runs, bit-identical per run to
-    restoring each run on its own.
+    A round's static runs fit, and a tick's chunks restore, as stacks
+    across their runs, bit-identical per run to each run on its own.
     """
 
     name = "restore"
     span = "monitor.restore"
 
-    def open_run(self, ctx: ObservationContext) -> None:
-        model = ctx.model
-        if ctx.mode == "static":
-            if ctx.restorer is None:  # the fleet front-end pre-fills in stacks
-                pmcs = ctx.bundle.pmcs.matrix
-                ctx.restorer = model.offline_stream(
-                    pmcs[ctx.readings.indices], ctx.readings
-                )
-        else:  # dynamic, or model_only's anchorless forecast
-            ctx.restorer = model.online_session(retain=False)
-        # Provenance depends only on the run's reading positions, which are
-        # fixed once the gate has passed — flag the whole trace here and
-        # slice per chunk instead of re-deriving neighbour distances for
-        # every chunk of every node.
-        if ctx.mode != "model_only":
-            ctx.provenance_full = provenance_from_readings(
-                ctx.n_samples, ctx.readings,
-                outage_factor=ctx.model.config.resync_gap_factor,
-            )
+    def open_all(self, contexts, lost: list) -> None:
+        """Open a round's restorers: every static run's StaticTRR fits in
+        one :func:`~repro.core.static_trr.fit_streams` stack, each dynamic
+        and model-only run gets its own online session.
+
+        Each static run's inputs are checked on their own first
+        (:meth:`~repro.core.StaticTRR.check_stream`), so a malformed run is
+        lost alone; if the stacked fit itself raises, every static run of
+        the stack is lost to it."""
+        static = []  # (ctx, unfitted StaticTRR, PMC rows at the readings)
+        for ctx in contexts:
+            try:
+                # Provenance depends only on the run's reading positions,
+                # which are fixed once the gate has passed — flag the whole
+                # trace here and slice per chunk instead of re-deriving
+                # neighbour distances for every chunk of every node.
+                if ctx.mode != "model_only":
+                    ctx.provenance_full = provenance_from_readings(
+                        ctx.n_samples, ctx.readings,
+                        outage_factor=ctx.model.config.resync_gap_factor,
+                    )
+                if ctx.mode == "static":
+                    trr = ctx.model.static_trr()
+                    static.append((ctx, trr, trr.check_stream(
+                        ctx.bundle.pmcs.matrix[ctx.readings.indices],
+                        ctx.readings,
+                    )))
+                else:  # dynamic, or model_only's anchorless forecast
+                    ctx.restorer = ctx.model.online_session()
+            except Exception as exc:  # lost alone; the batch still opens
+                lost.append((ctx, exc))
+        if not static:
+            return
+        try:
+            streams = fit_streams([trr for _, trr, _ in static],
+                                  [rows for _, _, rows in static],
+                                  [ctx.readings for ctx, _, _ in static])
+        except Exception as exc:  # the stack's runs are lost together
+            lost.extend((ctx, exc) for ctx, _, _ in static)
+            return
+        for (ctx, _, _), stream in zip(static, streams):
+            ctx.restorer = stream
 
     def process_all(self, items, out: list) -> None:
         """Restore a batch: every static chunk in one

@@ -140,35 +140,20 @@ class EventCollector:
             "Shard-to-collector queue transit time.",
             buckets=LATENCY_BUCKETS,
         )
-        self._batch_counter = registry.counter(
-            "repro_serve_merge_batched_events_total",
-            "Events drained via non-blocking batch gets (vs one blocking "
-            "get per wakeup).",
-        )
 
     # ------------------------------------------------------------ events
     def run(self, events) -> None:
         """Thread target: drain until all shards are done, then finalize.
 
-        Drains in batches: one blocking ``get`` per wakeup, then
-        ``get_nowait`` until the queue is momentarily empty. Under load,
-        records queue faster than one-blocking-get-per-record can clear
-        them (each blocking get pays the condition-variable / pipe-poll
-        round trip), so batch draining is what keeps the merge latency
-        histogram flat as the fleet scales.
+        One blocking ``get`` per event. Draining in batches (a blocking
+        ``get``, then ``get_nowait`` until the queue is momentarily empty)
+        was no better: on traced perfbench serve-wide (2-vCPU VM, five
+        runs each) the mean merge latency's median was 766 ms batched and
+        412 ms with one ``get`` per event, the runs of each spreading
+        over hundreds of milliseconds.
         """
         while len(self.done) < self.n_shards:
             self._dispatch(events.get())
-            batched = 0
-            while len(self.done) < self.n_shards:
-                try:
-                    event = events.get_nowait()
-                except queue.Empty:  # multiprocessing.Queue raises it too
-                    break
-                self._dispatch(event)
-                batched += 1
-            if batched:
-                self._batch_counter.inc(batched)
         self._finalize()
 
     def _dispatch(self, event) -> None:

@@ -6,20 +6,22 @@ serve many interleaved runs (the monitor's run driver,
 :class:`~repro.monitor.FleetMonitor`, steps one context per node through
 shared stages).
 
-Lifecycle per run: :meth:`StreamPipeline.open_run` fires every stage's
-``open_run`` in order, the driver then steps the source chunks through the
-stages, and :meth:`StreamPipeline.close_run` fires every stage's
-``close_run``. ``process`` may return a chunk, a list of chunks, or None
-(absorbed — e.g. the static restorer holding samples back until its fusion
-window closes; it releases its tail with the source's ``final`` chunk, so
+Lifecycle: :meth:`StreamPipeline.open_all` opens a round of runs stage
+by stage, each stage's :meth:`Stage.open_all` once over the runs still
+standing; the driver then steps the source chunks through the stages,
+and :meth:`StreamPipeline.close_run` fires every stage's ``close_run``.
+``process`` may return a chunk, a list of chunks, or None (absorbed —
+e.g. the static restorer holding samples back until its fusion window
+closes; it releases its tail with the source's ``final`` chunk, so
 nothing is left over once the source is exhausted).
 
-A step is a batch: :meth:`StreamPipeline.apply_all` runs one stage's
-:meth:`Stage.process_all` over ``(ctx, chunk)`` items — a fleet tick's
-chunks, one per run — under one tracer span, and counts the chunks and
-samples entering the stage; :meth:`StreamPipeline.apply` is the batch of
-one. Per-stage latency and throughput come for free in the ambient
-observability stack.
+Every step is a batch: :meth:`StreamPipeline.open_all` runs each stage's
+open once over a round's contexts, and :meth:`StreamPipeline.apply_all`
+one stage's :meth:`Stage.process_all` over ``(ctx, chunk)`` items — a
+fleet tick's chunks, one per run — each stage's batch under one tracer
+span; :meth:`StreamPipeline.apply` is the batch of one. ``apply_all``
+also counts the chunks and samples entering the stage, so per-stage
+latency and throughput come for free in the ambient observability stack.
 """
 
 from __future__ import annotations
@@ -55,6 +57,17 @@ class Stage:
 
     def open_run(self, ctx: RunContext) -> None:
         """Run-scoped setup (may consume the whole-run inputs on ctx)."""
+
+    def open_all(self, contexts, lost: list) -> None:
+        """Open a batch of runs, appending ``(ctx, exception)`` to ``lost``
+        for each run whose open raised; the other runs still open. The
+        default opens each run through :meth:`open_run`; a stage that
+        batches across runs overrides this instead."""
+        for ctx in contexts:
+            try:
+                self.open_run(ctx)
+            except Exception as exc:  # lost alone; the batch still opens
+                lost.append((ctx, exc))
 
     def process(self, ctx: RunContext, chunk: PowerChunk):
         """Transform one chunk; return a chunk, a list of chunks, or None."""
@@ -117,11 +130,22 @@ class StreamPipeline:
 
     # The run driver interleaves many runs, stepping all of them through
     # one stage before the next, so the pipeline exposes single steps.
-    def open_run(self, ctx: RunContext, start: int = 0,
-                 stop: "int | None" = None) -> None:
-        """Fire ``open_run`` of stages ``[start, stop)`` (default: all)."""
-        for stage in self.stages[start:stop]:
-            self._timed(stage, stage.open_run, ctx)
+    def open_all(self, contexts) -> list:
+        """Open a round of runs stage-major: each stage's
+        :meth:`Stage.open_all` runs once, under one tracer span, over the
+        runs no earlier stage lost. Returns the lost runs' ``(ctx,
+        exception)`` pairs in the order they raised."""
+        lost: list = []
+        for stage in self.stages:
+            if not contexts:
+                break
+            failed: list = []
+            self._timed(stage, stage.open_all, contexts, failed)
+            if failed:
+                dead = {id(ctx) for ctx, _ in failed}
+                contexts = [ctx for ctx in contexts if id(ctx) not in dead]
+                lost += failed
+        return lost
 
     def close_run(self, ctx: RunContext) -> None:
         for stage in self.stages:

@@ -42,9 +42,9 @@ class TestDynamicTRR:
         assert err < 15.0
 
     def test_estimates_clamped_to_platform(self, fitted_dyn, small_bundle, ipmi_readings):
-        session = fitted_dyn.session()
-        p = session.run(small_bundle.pmcs.matrix, ipmi_readings)
-        unmeasured = ~session.measured_mask
+        p = fitted_dyn.session().run(small_bundle.pmcs.matrix, ipmi_readings)
+        unmeasured = np.ones(p.shape[0], dtype=bool)
+        unmeasured[ipmi_readings.indices] = False
         assert (p[unmeasured] <= fitted_dyn.p_upper_ + 1e-9).all()
         assert (p[unmeasured] >= fitted_dyn.p_bottom_ - 1e-9).all()
 

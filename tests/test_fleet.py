@@ -27,7 +27,6 @@ from repro.monitor import (
     ResiliencePolicy,
     SamplingGovernor,
 )
-from repro.monitor import fleet as fleet_module
 from repro.monitor import pipeline as pipeline_module
 from repro.monitor.pipeline import GateStage, IngestStage
 from repro.obs import MetricsRegistry
@@ -222,7 +221,7 @@ class TestFleetMonitor:
             return restore_streams(streams, pmc_chunks, finals, residual_hats)
 
         monkeypatch.setattr(pipeline_module, "run_fine_tunes", spy)
-        monkeypatch.setattr(fleet_module, "fit_streams", fit_spy)
+        monkeypatch.setattr(pipeline_module, "fit_streams", fit_spy)
         monkeypatch.setattr(pipeline_module, "restore_streams", restore_spy)
         # The governor thins the feeds from the second round on.
         n_rounds = 2 if hetero else 1
@@ -236,11 +235,11 @@ class TestFleetMonitor:
                     )
                 except Exception as exc:  # the strict dead feed raises
                     seq_errors[nid] = type(exc)
-        # a fleet of one restores through stacks of one; only the fleet's
-        # stacks are inspected below
+        # a fleet of one opens and restores through stacks of one; only
+        # the fleet's stacks are inspected below
         rounds.clear()
+        opens.clear()
         positions.clear()
-        assert opens == []
         fleet = FleetMonitor(fleet_svc, chunk_size=16)
         fleet_errors, results = {}, []
         for _ in range(n_rounds):
@@ -479,8 +478,8 @@ class TestFleetMonitor:
     def test_failed_stacked_fit_loses_only_the_run_at_fault(
         self, chaos_reference, monkeypatch
     ):
-        """A run whose StaticTRR fit raises fails the stacked fit of its
-        pass; every run then fits on its own, so only that run is lost."""
+        """A run whose StaticTRR inputs fail their check is lost alone; the
+        other runs of its pass still fit as one stack."""
         _, bundle = chaos_reference
         node_ids = ("fl-a", "fl-b", "fl-c")
         seq_svc, svc = _twin_services(chaos_reference, node_ids)
@@ -503,11 +502,11 @@ class TestFleetMonitor:
 
         monkeypatch.setattr(GateStage, "open_run", gate)
         monkeypatch.setattr(StaticTRR, "_limits", invalid_for_b)
-        monkeypatch.setattr(fleet_module, "fit_streams", fit_spy)
+        monkeypatch.setattr(pipeline_module, "fit_streams", fit_spy)
         fleet = FleetMonitor(svc, chunk_size=16)
         with pytest.raises(ValidationError, match="limits for fl-b"):
             fleet.submit_all({nid: bundle for nid in node_ids}, online=False)
-        assert stacked == [3]
+        assert stacked == [2]
         failed = svc.registry.counter(
             "repro_monitor_failed_runs_total", "", ("node",)
         )
@@ -519,6 +518,38 @@ class TestFleetMonitor:
             want = seq_svc.observe_run(nid, bundle, online=False, chunk_size=16)
             np.testing.assert_array_equal(want.p_node, results[nid].p_node)
             np.testing.assert_array_equal(want.p_cpu, results[nid].p_cpu)
+
+    def test_failed_stacked_fit_loses_every_static_run_of_its_pass(
+        self, chaos_reference, monkeypatch
+    ):
+        """A stacked fit that raises after every run passed its check loses
+        the stack's static runs and re-raises; a run degraded to model-only
+        in the same pass still opens and finishes."""
+        _, bundle = chaos_reference
+        node_ids = ("fl-a", "fl-b", "fl-c")
+        seq_svc, svc = _twin_services(chaos_reference, node_ids, dead={"fl-b"})
+        stacked = []
+
+        def broken_fit(trrs, pmcs_rows, readings):
+            stacked.append(len(trrs))
+            raise RuntimeError("stacked fit broke")
+
+        monkeypatch.setattr(pipeline_module, "fit_streams", broken_fit)
+        fleet = FleetMonitor(svc, chunk_size=16)
+        with pytest.raises(RuntimeError, match="stacked fit broke"):
+            fleet.submit_all({nid: bundle for nid in node_ids}, online=False)
+        assert stacked == [2]
+        failed = svc.registry.counter(
+            "repro_monitor_failed_runs_total", "", ("node",)
+        )
+        assert [failed.labels(node=nid).value for nid in node_ids] \
+            == [1.0, 0.0, 1.0]
+        assert fleet.active_nodes == ("fl-b",)
+        results = fleet.observe_all([])
+        assert set(results) == {"fl-b"} and results["fl-b"].mode == "model_only"
+        want = seq_svc.observe_run("fl-b", bundle, online=False, chunk_size=16)
+        np.testing.assert_array_equal(want.p_node, results["fl-b"].p_node)
+        assert svc.health("fl-a").runs == svc.health("fl-c").runs == 0
 
     def test_submit_all_validates_before_opening_any_run(self, chaos_reference):
         _, bundle = chaos_reference
@@ -608,6 +639,28 @@ class TestFleetMonitor:
             "repro_stream_chunks_total", "", ("stage",)
         )
         assert chunks.labels(stage="ingest").value >= len(self.NODE_IDS)
+
+    def test_open_spans_close_once_per_stage_per_submit_all(
+        self, chaos_reference
+    ):
+        _, bundle = chaos_reference
+        _, svc = _twin_services(chaos_reference, self.NODE_IDS, dead={"fl-b"})
+        fleet = FleetMonitor(svc, chunk_size=64)
+        spans = [stage.span for stage in fleet.pipeline.stages]
+
+        def counts():
+            stats = svc.tracer.stats()
+            return [stats[span].count if span in stats else 0
+                    for span in spans]
+
+        for _ in range(2):
+            before = counts()
+            fleet.submit_all({nid: bundle for nid in self.NODE_IDS},
+                             online=False)
+            # a static and a model-only pass of three runs: one span per
+            # stage, the restore stage's stacked fit included
+            assert [c - b for c, b in zip(counts(), before)] == [1] * len(spans)
+            fleet.observe_all([])
 
     #: (online, chunk size) -> per-stage (chunks, samples) entering each
     #: stage over the whole fleet drain, as the per-chunk driver counted

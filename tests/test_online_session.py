@@ -27,19 +27,6 @@ def dyn(train_bundles):
 
 
 class TestSessionMechanics:
-    def test_measured_mask_tracks_readings(self, dyn, small_bundle, ipmi_readings):
-        session = dyn.session()
-        session.run(small_bundle.pmcs.matrix, ipmi_readings)
-        mask = session.measured_mask
-        assert mask.sum() == len(ipmi_readings)
-        assert mask[ipmi_readings.indices].all()
-
-    def test_estimates_accumulate_one_per_step(self, dyn, small_bundle):
-        session = dyn.session()
-        for t in range(5):
-            session.step(small_bundle.pmcs.matrix[t])
-        assert session.estimates.shape == (5,)
-
     def test_hold_channel_updates_on_reading(self, dyn, small_bundle):
         session = dyn.session()
         session.step(small_bundle.pmcs.matrix[0], im_reading=90.0)

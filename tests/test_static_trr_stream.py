@@ -300,8 +300,8 @@ class TestOnlineChunks:
         self, dyn, small_bundle, ipmi_readings, chunk_size
     ):
         pmcs = small_bundle.pmcs.matrix
-        whole = dyn.session(retain=False).run(pmcs, ipmi_readings)
-        session = dyn.session(retain=False)
+        whole = dyn.session().run(pmcs, ipmi_readings)
+        session = dyn.session()
         parts = [
             session.run_chunk(pmcs[s:s + chunk_size], ipmi_readings)
             for s in range(0, pmcs.shape[0], chunk_size)
@@ -310,26 +310,18 @@ class TestOnlineChunks:
 
     def test_model_only_chunked_equals_whole_run(self, dyn, small_bundle):
         pmcs = small_bundle.pmcs.matrix
-        whole = dyn.session(retain=False).run(pmcs, None)
-        session = dyn.session(retain=False)
+        whole = dyn.session().run(pmcs, None)
+        session = dyn.session()
         parts = [session.run_chunk(pmcs[s:s + 37], None)
                  for s in range(0, pmcs.shape[0], 37)]
         np.testing.assert_array_equal(np.concatenate(parts), whole)
 
     def test_unretained_session_state_is_bounded(self, dyn, small_bundle):
-        session = dyn.session(retain=False)
+        session = dyn.session()
         pmcs = small_bundle.pmcs.matrix
         for s in range(0, pmcs.shape[0], 50):
             session.run_chunk(pmcs[s:s + 50], None)
-        # Feature deques are capped at one miss-interval window and the
-        # per-step estimates are not accumulated.
+        # Feature deques are capped at one miss-interval window.
         assert len(session._pmcs) <= dyn.config.miss_interval
-        assert session.estimates.shape == (0,)
         # The sample clock still reflects the whole trace.
         assert session.t == pmcs.shape[0]
-
-    def test_retained_session_keeps_the_full_trace(self, dyn, small_bundle):
-        session = dyn.session(retain=True)
-        pmcs = small_bundle.pmcs.matrix[:60]
-        session.run_chunk(pmcs, None)
-        assert session.estimates.shape == (60,)

@@ -75,7 +75,7 @@ def _chunks(k, size=4):
 def _drive(pipe, ctx, chunks):
     """Open the run, step every chunk through each stage with ``apply``,
     close the run; returns the chunks that left the last stage."""
-    pipe.open_run(ctx)
+    assert pipe.open_all([ctx]) == []
     out = []
     for chunk in chunks:
         alive = [chunk]
@@ -145,8 +145,7 @@ class TestApplyAll:
         registry, tracer = MetricsRegistry(), Tracer()
         pipe = StreamPipeline([_Traced(), _Collect()])
         items = self._items()
-        for ctx, _ in items:
-            pipe.open_run(ctx)
+        assert pipe.open_all([ctx for ctx, _ in items]) == []
         with use_registry(registry), use_tracer(tracer):
             out = pipe.apply_all(items, 0)
             out = pipe.apply_all(out, 1)
@@ -214,6 +213,35 @@ class TestApplyAll:
         ctx, chunk = items[0]
         assert StreamPipeline([stage]).apply(ctx, chunk, 0) == [chunk]
         assert stage.calls == [3, 1]
+
+
+class TestOpenAll:
+    """A round's opens: each stage once over the runs still standing."""
+
+    def test_stage_major_and_a_raising_run_is_lost_alone(self):
+        order = []
+
+        class Opens(Stage):
+            span = "toy.open"
+
+            def __init__(self, name, fails=()):
+                self.name, self.fails = name, fails
+
+            def open_run(self, ctx):
+                order.append((self.name, ctx.node_id))
+                if ctx.node_id in self.fails:
+                    raise OSError(f"{ctx.node_id} broke")
+
+        tracer = Tracer()
+        ctxs = [RunContext(f"n{i}", "w", 8) for i in range(3)]
+        pipe = StreamPipeline([Opens("a", fails=("n1",)), Opens("b")])
+        with use_tracer(tracer):
+            lost = pipe.open_all(ctxs)
+        assert [(ctx.node_id, str(exc)) for ctx, exc in lost] \
+            == [("n1", "n1 broke")]
+        assert order == [("a", "n0"), ("a", "n1"), ("a", "n2"),
+                         ("b", "n0"), ("b", "n2")]
+        assert tracer.stats()["toy.open"].count == 2
 
 
 class TestJsonlSink:

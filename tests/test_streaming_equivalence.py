@@ -17,8 +17,9 @@ from repro.calib import IDENTITY, CompensationTransform
 from repro.core import HighRPM
 from repro.faults import FaultySensor, GainDrift, OutageWindow
 from repro.monitor import FleetMonitor, MemoryLogSink, PowerMonitorService
+from repro.obs import MetricsRegistry
 from repro.sensors import IPMISensor
-from repro.stream import JsonlSink, iter_jsonl
+from repro.stream import JsonlSink, Sink, iter_jsonl
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "fixtures" / "golden_monitor.npz"
 CHUNK_SIZES = [7, 64]
@@ -169,35 +170,49 @@ def test_chunked_healthy_run_matches_golden_fixture(chaos_reference):
                                   golden["healthy_provenance"])
 
 
+class _Spans(Sink):
+    """Records the span of every chunk that reaches the sinks."""
+
+    def __init__(self) -> None:
+        self.spans = []
+
+    def write(self, chunk) -> None:
+        self.spans.append((chunk.start, chunk.stop))
+
+    def end_run(self, node_id, workload, mode) -> None:
+        pass
+
+
 @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
 def test_monitor_stream_pieces_tile_and_match(chaos_reference, chunk_size):
-    """Core-level generator: pieces tile [0, n) and concatenate exactly."""
+    """The fleet's streamed pieces tile [0, n) in order, and the chunked
+    run equals the core model's whole-run restoration of a same-seed
+    twin's readings bit for bit."""
     reference, bundle = chaos_reference
     model: HighRPM = reference.model
     readings = IPMISensor(reference.spec, seed=17).sample(bundle)
     pmcs = bundle.pmcs.matrix
     for online in (True, False):
+        pieces = _Spans()
+        svc = PowerMonitorService(model, reference.spec,
+                                  registry=MetricsRegistry(), sinks=[pieces])
+        svc.register_node("eq-node",
+                          sensor=IPMISensor(reference.spec, seed=17))
+        got = svc.observe_run("eq-node", bundle, online=online,
+                              chunk_size=chunk_size)
+        # The gate kept every reading, so the run saw the twin's feed.
+        health = svc.health("eq-node")
+        assert health.gated_readings == 0 and health.retries == 0
+        starts = [0] + [stop for _, stop in pieces.spans]
+        assert [start for start, _ in pieces.spans] == starts[:-1]
+        assert starts[-1] == pmcs.shape[0]
         whole = (model.monitor_online if online else model.monitor_offline)(
             pmcs, readings
         )
-        expected_start = 0
-        parts = []
-        for start, piece in model.monitor_stream(
-            pmcs, readings, online=online, chunk_size=chunk_size
-        ):
-            assert start == expected_start
-            expected_start += len(piece)
-            parts.append(piece)
-        assert expected_start == pmcs.shape[0]
-        np.testing.assert_array_equal(
-            np.concatenate([p.p_node for p in parts]), whole.p_node
-        )
-        np.testing.assert_array_equal(
-            np.concatenate([p.p_cpu for p in parts]), whole.p_cpu
-        )
-        np.testing.assert_array_equal(
-            np.concatenate([p.provenance for p in parts]), whole.provenance
-        )
+        assert got.mode == whole.mode
+        np.testing.assert_array_equal(got.p_node, whole.p_node)
+        np.testing.assert_array_equal(got.p_cpu, whole.p_cpu)
+        np.testing.assert_array_equal(got.provenance, whole.provenance)
 
 
 @pytest.mark.parametrize("shards,processes", [(1, False), (3, False), (2, True)],
