@@ -49,6 +49,29 @@ PROVENANCE_CONFIDENCE = {
     int(PROV_MODEL_ONLY): 0.4,
 }
 
+#: ``PROVENANCE_CONFIDENCE`` as a table indexed by provenance code.
+_CONFIDENCE_TABLE = np.array(
+    [PROVENANCE_CONFIDENCE[code] for code in range(len(PROVENANCE_CONFIDENCE))]
+)
+
+
+# repro-lint: disable=boundary-validation — any-shape codes (a fleet stacks
+# its runs' provenance as rows), checked inline against the table below.
+def provenance_confidence(provenance: np.ndarray) -> np.ndarray:
+    """Per-sample confidence for provenance codes of any shape: one take
+    from the ``PROVENANCE_CONFIDENCE`` table. A code outside the table
+    raises :class:`~repro.errors.ValidationError`."""
+    codes = np.asarray(provenance)
+    if codes.size == 0:
+        return np.empty(codes.shape)
+    if codes.dtype.kind not in "ui" or codes.min() < 0 \
+            or codes.max() >= _CONFIDENCE_TABLE.size:
+        raise ValidationError(
+            f"unknown provenance code(s) in {np.unique(codes)}; expected "
+            f"integer PROV_* codes 0..{_CONFIDENCE_TABLE.size - 1}"
+        )
+    return _CONFIDENCE_TABLE.take(codes)
+
 
 def provenance_from_readings(
     n: int,
@@ -133,10 +156,7 @@ class MonitorResult:
         """Per-sample confidence in [0, 1] derived from provenance."""
         if self.provenance is None:
             return np.full(len(self), PROVENANCE_CONFIDENCE[int(PROV_RESTORED)])
-        out = np.empty(len(self), dtype=np.float64)
-        for code, conf in PROVENANCE_CONFIDENCE.items():
-            out[self.provenance == code] = conf
-        return out
+        return provenance_confidence(self.provenance)
 
 
 class HighRPM:

@@ -3,7 +3,8 @@
 The paper's deployment is one HighRPM service shared by many computing
 nodes (§4.1). :class:`FleetMonitor` is the only driver of the observation
 pipeline: it opens a run per node, interleaves the registered nodes' runs
-chunk by chunk, and closes each run when its source is exhausted.
+chunk by chunk, and closes the runs whose sources are exhausted, one
+batch per tick.
 ``PowerMonitorService.observe_run`` is a fleet of one. A round's runs
 open as one batch per stage (:meth:`~repro.stream.StreamPipeline.open_all`),
 and the restore stage fits every static run's StaticTRR in that batch as
@@ -28,6 +29,13 @@ the compiled flat-array layer:
   chunk in one concatenated forward pass (two-way SRR for CPU classes,
   three-way GPUSRR for accelerated ones).
 
+The runs a tick finishes close as one batch too
+(:meth:`FleetMonitor._close_all`): sinks end each run, the runs' chunks
+assemble as one stack per run length, their confidence means come from
+one provenance-table pass, the sampling governor decides every stride
+in one :meth:`~repro.monitor.scheduler.SamplingGovernor.update_all`
+pass, and each run-level metric family is declared once per tick.
+
 The batched paths are bit-identical per node to restoring each run on its
 own (the compiled predictors are batch-size independent, and the stacked
 trainer leaves each node's model where its own fine-tunes would), so
@@ -46,6 +54,7 @@ from ..core.highrpm import (
     PROV_MODEL_ONLY,
     PROV_RESTORED,
     MonitorResult,
+    provenance_confidence,
 )
 from ..errors import ValidationError
 from ..obs import use_registry, use_tracer
@@ -54,14 +63,27 @@ from .pipeline import ObservationContext, build_pipeline, input_chunks
 
 #: Human-readable provenance labels for the sample-mix counter.
 _PROV_LABELS = {
-    PROV_MEASURED: "measured",
-    PROV_RESTORED: "restored",
-    PROV_MODEL_ONLY: "model_only",
+    int(PROV_MEASURED): "measured",
+    int(PROV_RESTORED): "restored",
+    int(PROV_MODEL_ONLY): "model_only",
 }
 
 #: IM readings that survive per run: a smoke trace keeps a handful, a
 #: campaign trace a few hundred.
 _READINGS_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 1024.0)
+
+#: Run-level counters that follow a node's health counters (``_health_counts``
+#: order): each grows by the run's delta.
+_HEALTH_DELTAS = (
+    ("repro_monitor_retries_total",
+     "IM sample retries after transient failures."),
+    ("repro_monitor_gated_readings_total",
+     "IM readings dropped by the plausibility gate."),
+    ("repro_monitor_outage_runs_total",
+     "Runs degraded to model-only restoration."),
+    ("repro_monitor_degraded_runs_total",
+     "Runs that needed retries, gating, or anchorless samples."),
+)
 
 
 class _FleetRun:
@@ -87,11 +109,12 @@ class FleetMonitor:
     the fleet. ``observe_all`` is the submit-and-drain convenience
     wrapper.
 
-    A tick that raises loses every run whose chunk it was carrying: those
-    runs leave the active set and count once in
-    ``repro_monitor_failed_runs_total{node}``, and the exception
-    propagates. The profiler prices every step and counts a run (and its
-    samples) when it finishes.
+    A tick that raises loses every run whose chunk it was carrying, or,
+    if its close raises, every run it was closing: those runs leave the
+    active set and count once in ``repro_monitor_failed_runs_total{node}``,
+    and the exception propagates (the tick returns no partial results).
+    The profiler prices every step and counts a run (and its samples)
+    when it finishes.
     """
 
     def __init__(self, service, chunk_size: "int | None" = 256) -> None:
@@ -129,6 +152,8 @@ class FleetMonitor:
 
     def _lose(self, node_ids) -> None:
         """Drop runs lost to an exception; each counts once as failed."""
+        if not node_ids:  # declare no family without a sample to export
+            return
         failed = self.service.registry.counter(
             "repro_monitor_failed_runs_total",
             "Runs lost to an exception inside the monitor.", ("node",),
@@ -168,9 +193,7 @@ class FleetMonitor:
             named.add(node_id)
             ctx = ObservationContext(self.service, node_id, bundle, online,
                                      self.chunk_size)
-            health = ctx.health
-            pending.append((ctx, (health.retries, health.gated_readings,
-                                  health.outages, health.degraded_runs)))
+            pending.append((ctx, _health_counts(ctx.health)))
         if not pending:
             return
         with self._step("fleet.submit", set()):
@@ -186,17 +209,17 @@ class FleetMonitor:
             raise lost[0][1]
 
     def tick(self) -> "dict[str, MonitorResult]":
-        """Advance every active run by one chunk; returns finished runs."""
+        """Advance every active run by one chunk, then close the runs it
+        finished as one batch; returns their results."""
         if not self._runs:
             return {}
-        finished: "dict[str, MonitorResult]" = {}
         at_risk: "set[str]" = set()
         with self._step("fleet.tick", at_risk) as cost:
             self._advance(at_risk)
-            for node_id in [nid for nid, r in self._runs.items() if r.exhausted]:
-                at_risk.add(node_id)
-                finished[node_id] = self._close(self._runs.pop(node_id))
-                at_risk.discard(node_id)
+            done = [nid for nid, run in self._runs.items() if run.exhausted]
+            at_risk.update(done)  # a close that raises loses all of them
+            finished = self._close_all([self._runs.pop(nid) for nid in done])
+            at_risk.difference_update(done)
             cost.runs = len(finished)
             cost.samples = sum(len(result) for result in finished.values())
         return finished
@@ -229,102 +252,108 @@ class FleetMonitor:
                 at_risk.discard(ctx.node_id)
 
     # ---------------------------------------------------------- end of run
-    def _close(self, run: _FleetRun) -> MonitorResult:
-        """Close one exhausted run: sinks end it, its chunks are assembled,
-        and health, governor feedback and run metrics are recorded."""
-        ctx = run.ctx
-        self.pipeline.close_run(ctx)
-        result = _assemble(ctx, run.chunks)
-        _record_health(ctx, result)
-        self._feed_governor(ctx, result)
-        self._emit_run_metrics(ctx.node_id, result, run.before)
-        return result
+    def _close_all(self, runs) -> "dict[str, MonitorResult]":
+        """Close every run a tick finished in one batch: sinks end each run,
+        the runs' chunks assemble as stacks, and health, governor feedback
+        and run metrics are recorded.
 
-    def _feed_governor(self, ctx: ObservationContext, result: MonitorResult) -> None:
-        """Feed one finished run back into the sampling schedule."""
+        The governor decides every stride in one pass under one
+        ``sched.decide`` span, each metric family is declared once, and
+        the provenance counter is summed over the batch before it touches
+        the registry; per-node series are written run by run."""
+        if not runs:
+            return {}
         service = self.service
-        governor = service.governor
-        if governor is None or len(result) == 0:
-            return
-        budget = governor.policy.pinned_budget_fraction
-        if budget is None:
-            budget = service.profiler.budget_fraction
-        with service.tracer.span("sched.decide"):
-            decision = governor.update(
-                ctx.node_id, float(result.confidence().mean()), float(budget)
-            )
         registry = service.registry
-        registry.gauge(
-            "repro_sched_stride",
-            "Sampling-governor IM reading stride per node (1 = dense).",
-            ("node",),
-        ).labels(node=ctx.node_id).set(decision.stride)
-        registry.gauge(
-            "repro_sched_interval_seconds",
-            "Effective IM sampling interval per node under the governor.",
-            ("node",),
-        ).labels(node=ctx.node_id).set(
-            float(ctx.sensor.interval_s * decision.stride)
-        )
-        registry.counter(
-            "repro_sched_decisions_total",
-            "Governor decisions by node and direction.",
-            ("node", "direction"),
-        ).labels(node=ctx.node_id, direction=decision.direction).inc()
-
-    def _emit_run_metrics(
-        self, node_id: str, result: MonitorResult, before: tuple
-    ) -> None:
-        """Publish one finished run's counters from the health deltas."""
-        registry = self.service.registry
-        health = self.service.health(node_id)
-        registry.counter(
+        contexts = [run.ctx for run in runs]
+        self.pipeline.close_all(contexts)
+        results, counts, energy, stacks = _assemble_all(runs)
+        governor = service.governor
+        fed = [i for i, result in enumerate(results) if len(result)]
+        if governor is not None and fed:
+            # bitwise each run's result.confidence().mean(): numpy reduces
+            # a contiguous row as it reduces the same 1-D array
+            confidence = np.zeros(len(runs))
+            for members, prov in stacks:
+                if prov.shape[1]:
+                    confidence[members] = \
+                        provenance_confidence(prov).mean(axis=1)
+            budget = governor.policy.pinned_budget_fraction
+            if budget is None:
+                budget = service.profiler.budget_fraction
+            with service.tracer.span("sched.decide"):
+                decisions = governor.update_all(
+                    [contexts[i].node_id for i in fed], confidence[fed],
+                    float(budget),
+                )
+            strides = registry.gauge(
+                "repro_sched_stride",
+                "Sampling-governor IM reading stride per node (1 = dense).",
+                ("node",),
+            )
+            intervals = registry.gauge(
+                "repro_sched_interval_seconds",
+                "Effective IM sampling interval per node under the governor.",
+                ("node",),
+            )
+            directions = registry.counter(
+                "repro_sched_decisions_total",
+                "Governor decisions by node and direction.",
+                ("node", "direction"),
+            )
+            for i, decision in zip(fed, decisions):
+                node_id = decision.node_id
+                strides.child(node_id).set(decision.stride)
+                intervals.child(node_id).set(
+                    float(contexts[i].sensor.interval_s * decision.stride)
+                )
+                directions.child(node_id, decision.direction).inc()
+        runs_total = registry.counter(
             "repro_monitor_runs_total",
             "Observed runs by node and restoration mode.", ("node", "mode"),
-        ).labels(node=node_id, mode=result.mode).inc()
-        deltas = (
-            ("repro_monitor_retries_total",
-             "IM sample retries after transient failures.", health.retries),
-            ("repro_monitor_gated_readings_total",
-             "IM readings dropped by the plausibility gate.",
-             health.gated_readings),
-            ("repro_monitor_outage_runs_total",
-             "Runs degraded to model-only restoration.", health.outages),
-            ("repro_monitor_degraded_runs_total",
-             "Runs that needed retries, gating, or anchorless samples.",
-             health.degraded_runs),
         )
-        for (name, help_text, after_value), before_value in zip(deltas, before):
-            if after_value > before_value:
-                registry.counter(name, help_text, ("node",)).labels(
-                    node=node_id
-                ).inc(after_value - before_value)
-        prov = result.provenance
-        if prov is None:
-            prov = np.full(len(result), PROV_RESTORED, dtype=np.uint8)
-        counts = np.bincount(prov, minlength=max(_PROV_LABELS) + 1)
-        samples = registry.counter(
-            "repro_monitor_samples_total",
-            "Logged samples by provenance.", ("provenance",),
-        )
-        for code, label in _PROV_LABELS.items():
-            if counts[code]:
-                samples.labels(provenance=label).inc(int(counts[code]))
-        registry.histogram(
+        readings = registry.histogram(
             "repro_monitor_readings_per_run",
             "Measured IM readings surviving per observed run.",
             buckets=_READINGS_BUCKETS,
-        ).observe(int(counts[PROV_MEASURED]))
-        energy = registry.counter(
+        ).child()
+        joules = registry.counter(
             "repro_monitor_component_energy_joules_total",
             "Attributed component energy by node (1 Sa/s: watts sum to "
             "joules).",
             ("node", "component"),
         )
-        for component, series in result.components.items():
-            total = float(series.sum())
-            if total > 0.0:
-                energy.labels(node=node_id, component=component).inc(total)
+        grown: "dict[int, list]" = {}  # health delta -> [(node, growth)]
+        measured = counts[:, PROV_MEASURED].tolist()
+        gaps = counts[:, PROV_MODEL_ONLY].tolist()
+        for run, result, n_measured, n_gaps, parts in zip(
+            runs, results, measured, gaps, energy
+        ):
+            ctx = run.ctx
+            node_id = ctx.node_id
+            _record_health(ctx, n_gaps)
+            runs_total.child(node_id, result.mode).inc()
+            for k, (after, before) in enumerate(
+                zip(_health_counts(ctx.health), run.before)
+            ):
+                if after > before:
+                    grown.setdefault(k, []).append((node_id, after - before))
+            readings.observe(n_measured)
+            for component, total in parts:
+                if total > 0.0:
+                    joules.child(node_id, component).inc(total)
+        for k, growth in grown.items():  # declared once some run grew it
+            family = registry.counter(*_HEALTH_DELTAS[k], ("node",))
+            for node_id, delta in growth:
+                family.child(node_id).inc(delta)
+        samples = registry.counter(
+            "repro_monitor_samples_total",
+            "Logged samples by provenance.", ("provenance",),
+        )
+        for code, total in enumerate(counts.sum(axis=0).tolist()):
+            if total:
+                samples.child(_PROV_LABELS[code]).inc(total)
+        return {ctx.node_id: result for ctx, result in zip(contexts, results)}
 
     def observe_all(
         self, runs, online: bool = True
@@ -337,34 +366,70 @@ class FleetMonitor:
         return results
 
 
-def _assemble(ctx: ObservationContext, chunks) -> MonitorResult:
-    """Concatenate the pipeline's finished chunks into one result."""
-    if not chunks:
-        return MonitorResult(
-            p_node=np.empty(0), p_cpu=np.empty(0), p_mem=np.empty(0),
-            mode=ctx.mode, provenance=np.empty(0, dtype=np.uint8),
-        )
-    return MonitorResult(
-        p_node=np.concatenate([c.p_node for c in chunks]),
-        p_cpu=np.concatenate([c.p_cpu for c in chunks]),
-        p_mem=np.concatenate([c.p_mem for c in chunks]),
-        mode=ctx.mode,
-        provenance=np.concatenate([c.provenance for c in chunks]),
-        p_gpu=(
-            np.concatenate([c.p_gpu for c in chunks])
-            if chunks[0].p_gpu is not None else None
-        ),
-    )
+def _health_counts(health) -> tuple:
+    """The node's health counters the run-level delta counters follow."""
+    return (health.retries, health.gated_readings, health.outages,
+            health.degraded_runs)
 
 
-def _record_health(ctx: ObservationContext, result: MonitorResult) -> None:
-    """End-of-run health bookkeeping, shared by all modes."""
+def _assemble_all(runs):
+    """Assemble closing runs' chunks into their results, one stack per
+    (run length, channel set).
+
+    A run's chunks tile it in order, so a group's chunks concatenate once
+    per channel into one row per run; each result's channels are its
+    rows. Returns, in run order, the results, each run's sample count per
+    provenance code (an ``(n, 3)`` array) and its ``(component, energy)``
+    sums; and per group, its members' indices and provenance rows."""
+    n = len(runs)
+    results: list = [None] * n
+    counts = np.zeros((n, len(_PROV_LABELS)), dtype=np.int64)
+    energy: list = [None] * n
+    groups: "dict[tuple, list[int]]" = {}
+    for i, run in enumerate(runs):
+        gpu = bool(run.chunks) and run.chunks[0].p_gpu is not None
+        groups.setdefault((run.ctx.n_samples, gpu), []).append(i)
+    stacks = []
+    for (length, gpu), members in groups.items():
+        chunks = [chunk for i in members for chunk in runs[i].chunks]
+        shape = (len(members), length)
+        p_node = _rows([c.p_node for c in chunks], shape)
+        p_cpu = _rows([c.p_cpu for c in chunks], shape)
+        p_mem = _rows([c.p_mem for c in chunks], shape)
+        prov = _rows([c.provenance for c in chunks], shape, np.uint8)
+        p_gpu = _rows([c.p_gpu for c in chunks], shape) if gpu else None
+        stacks.append((members, prov))
+        for code in _PROV_LABELS:
+            counts[members, code] = (prov == code).sum(axis=1)
+        components = [("cpu", p_cpu), ("mem", p_mem)]
+        if gpu:
+            components.append(("gpu", p_gpu))
+        sums = [(name, block.sum(axis=1).tolist()) for name, block in components]
+        for row, i in enumerate(members):
+            results[i] = MonitorResult(
+                p_node=p_node[row], p_cpu=p_cpu[row], p_mem=p_mem[row],
+                mode=runs[i].ctx.mode, provenance=prov[row],
+                p_gpu=None if p_gpu is None else p_gpu[row],
+            )
+            energy[i] = [(name, totals[row]) for name, totals in sums]
+    return results, counts, energy, stacks
+
+
+def _rows(parts, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """One channel of a group's chunks as one row per run."""
+    if not parts:  # empty runs
+        return np.empty(shape, dtype=dtype)
+    return np.concatenate(parts).reshape(shape)
+
+
+def _record_health(ctx: ObservationContext, gap_samples: int) -> None:
+    """End-of-run health bookkeeping, shared by all modes; ``gap_samples``
+    is the run's count of samples restored without an anchor."""
     health = ctx.health
     if ctx.degrade_reason is not None:
         health.record_outage_run(ctx.degrade_reason)
         return
     retried = health.transient_failures - ctx.transients_before
-    gap_samples = int(result.model_only_mask.sum())
     if ctx.gated or retried or gap_samples:
         health.record_degraded_run(
             f"{ctx.gated} reading(s) gated, {retried} transient "

@@ -386,15 +386,18 @@ class SamplingGovernor:
 
     The service consults :meth:`stride_for` when ingesting a node's run
     (the ingest stage thins the IM feed accordingly) and calls
-    :meth:`update` when the run finishes, feeding back the run's restored
-    confidence and the current overhead budget fraction. State is strictly
-    per node, so fleet sharding cannot reorder or couple decisions.
+    :meth:`update_all` when a batch of runs finishes, feeding back each
+    run's restored confidence and the current overhead budget fraction.
+    State is strictly per node, so fleet sharding cannot reorder or couple
+    decisions.
     """
 
     def __init__(self, policy: "GovernorPolicy | None" = None) -> None:
         self.policy = policy or GovernorPolicy()
         self._strides: "dict[str, int]" = {}
         self._decisions: "dict[str, SamplingDecision]" = {}
+        #: node_phase per node id: a pure function of the seed and the id.
+        self._phases: "dict[str, float]" = {}
 
     def stride_for(self, node_id: str) -> int:
         """The stride the node's next run should be sampled at (1 = dense)."""
@@ -415,23 +418,79 @@ class SamplingGovernor:
     def update(
         self, node_id: str, confidence: float, budget_fraction: float
     ) -> SamplingDecision:
-        """Fold one finished run's feedback into the node's schedule."""
-        previous = self.stride_for(node_id)
-        stride = decide_stride(self.policy, node_id, confidence, budget_fraction)
-        if stride > previous:
-            direction = "sparser"
-        elif stride < previous:
-            direction = "denser"
-        else:
-            direction = "hold"
-        decision = SamplingDecision(
-            node_id=node_id,
-            stride=stride,
-            confidence=float(confidence),
-            budget_fraction=float(budget_fraction),
-            direction=direction,
-            offset=decide_offset(self.policy, node_id, stride),
+        """Fold one finished run's feedback into the node's schedule: the
+        :meth:`update_all` of one."""
+        return self.update_all([node_id], [confidence], budget_fraction)[0]
+
+    def update_all(
+        self, node_ids, confidences, budget_fraction: float
+    ) -> "list[SamplingDecision]":
+        """Fold a batch of finished runs' feedback into their nodes'
+        schedules; returns one decision per node, in order.
+
+        Every stride and offset is decided in one array pass, bitwise the
+        :func:`decide_stride` / :func:`decide_offset` values sequential
+        :meth:`update` calls produce. A confidence outside ``[0, 1]``, a
+        negative or non-finite budget, or a node named twice raises
+        :class:`~repro.errors.ValidationError` before any node's state
+        changes.
+        """
+        node_ids = list(node_ids)
+        conf = np.asarray(confidences, dtype=np.float64)
+        budget = float(budget_fraction)
+        if conf.shape != (len(node_ids),):
+            raise ValidationError(
+                f"{len(node_ids)} node(s) but confidences of shape {conf.shape}"
+            )
+        if not (np.isfinite(conf).all() and np.all((conf >= 0.0) & (conf <= 1.0))):
+            raise ValidationError(
+                f"confidences must be finite and in [0, 1], got {conf}"
+            )
+        if not np.isfinite(budget) or budget < 0.0:
+            raise ValidationError(
+                f"budget_fraction must be finite and >= 0, got {budget}"
+            )
+        if len(set(node_ids)) != len(node_ids):
+            raise ValidationError(f"a node is named twice in {node_ids}")
+        p = self.policy
+        phases = self._phases
+        for node_id in node_ids:
+            if node_id not in phases:
+                phases[node_id] = node_phase(p.seed, node_id)
+        phase = np.array([phases[node_id] for node_id in node_ids])
+        # decide_stride over the batch. Its early returns (aggressiveness
+        # 0, max_stride 1, headroom 0) all make drive · (max_stride − 1)
+        # zero, leaving 1 + ⌊phase⌋ = 1 (phase < 0.5), so one expression
+        # covers them.
+        headroom = np.clip(
+            (conf - p.confidence_floor) / (1.0 - p.confidence_floor), 0.0, 1.0
         )
-        self._strides[node_id] = stride
-        self._decisions[node_id] = decision
-        return decision
+        pressure = 0.5 + float(
+            np.clip(budget / p.target_budget_fraction, 0.0, 2.0)
+        ) / 2.0
+        drive = np.clip(p.aggressiveness * headroom * pressure, 0.0, 1.0)
+        strides = np.minimum(
+            1 + (drive * (p.max_stride - 1) + phase).astype(np.int64),
+            p.max_stride,
+        )
+        # decide_offset: stride 1 keeps residue class 0
+        offsets = (phase * 2.0 * strides).astype(np.int64) % strides
+        decisions = []
+        for node_id, c, stride, offset in zip(
+            node_ids, conf.tolist(), strides.tolist(), offsets.tolist()
+        ):
+            previous = self._strides.get(node_id, 1)
+            if stride > previous:
+                direction = "sparser"
+            elif stride < previous:
+                direction = "denser"
+            else:
+                direction = "hold"
+            decision = SamplingDecision(
+                node_id=node_id, stride=stride, confidence=c,
+                budget_fraction=budget, direction=direction, offset=offset,
+            )
+            self._strides[node_id] = stride
+            self._decisions[node_id] = decision
+            decisions.append(decision)
+        return decisions

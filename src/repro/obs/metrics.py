@@ -170,6 +170,21 @@ class MetricFamily:
             self._children[key] = child
         return child
 
+    def child(self, *values: str):
+        """The child for label values given positionally, in declared
+        order: the hot-path form of :meth:`labels` for ``str`` values
+        (checked when the child is created)."""
+        child = self._children.get(values)
+        if child is None:
+            if len(values) != len(self.label_names) \
+                    or not all(isinstance(v, str) for v in values):
+                raise ValidationError(
+                    f"metric {self.name!r} declares labels "
+                    f"{self.label_names}, got values {values!r}"
+                )
+            child = self._children[values] = self._new_child()
+        return child
+
     def _new_child(self):
         if self.kind == "histogram":
             return Histogram(self.buckets)

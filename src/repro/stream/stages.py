@@ -9,7 +9,8 @@ shared stages).
 Lifecycle: :meth:`StreamPipeline.open_all` opens a round of runs stage
 by stage, each stage's :meth:`Stage.open_all` once over the runs still
 standing; the driver then steps the source chunks through the stages,
-and :meth:`StreamPipeline.close_run` fires every stage's ``close_run``.
+and :meth:`StreamPipeline.close_all` closes a batch of finished runs, each
+stage's :meth:`Stage.close_all` once over them.
 ``process`` may return a chunk, a list of chunks, or None (absorbed —
 e.g. the static restorer holding samples back until its fusion window
 closes; it releases its tail with the source's ``final`` chunk, so
@@ -88,6 +89,13 @@ class Stage:
     def close_run(self, ctx: RunContext) -> None:
         """Run-scoped teardown (sinks end the run here)."""
 
+    def close_all(self, contexts) -> None:
+        """Close a batch of runs. The default closes each run through
+        :meth:`close_run`; a stage that batches across runs overrides
+        this instead."""
+        for ctx in contexts:
+            self.close_run(ctx)
+
 
 class StreamPipeline:
     """An ordered list of stages, stepped one stage per call."""
@@ -147,9 +155,15 @@ class StreamPipeline:
                 lost += failed
         return lost
 
-    def close_run(self, ctx: RunContext) -> None:
+    def close_all(self, contexts) -> None:
+        """Close a batch of finished runs stage-major: each stage's
+        :meth:`Stage.close_all` once over them, in order."""
         for stage in self.stages:
-            stage.close_run(ctx)
+            stage.close_all(contexts)
+
+    def close_run(self, ctx: RunContext) -> None:
+        """Close one run: the :meth:`close_all` of one."""
+        self.close_all([ctx])
 
     def apply(self, ctx: RunContext, chunk: PowerChunk, i: int) -> "list[PowerChunk]":
         """Run exactly stage ``i`` on one chunk; returns what it emitted."""

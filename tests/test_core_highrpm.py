@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
 from repro.core import HighRPM, HighRPMConfig
 from repro.core.active_learning import ReinforcementSampler, SamplePool
+from repro.core.highrpm import PROVENANCE_CONFIDENCE, MonitorResult
 from repro.errors import NotFittedError, ValidationError
 from repro.hardware import ARM_PLATFORM
 from repro.ml import mape
@@ -96,6 +101,45 @@ class TestHighRPM:
 
     def test_active_learning_noop_without_data(self, fitted):
         assert fitted.active_learning([]) is fitted
+
+
+def _result(provenance, n=None) -> MonitorResult:
+    n = len(provenance) if n is None else n
+    return MonitorResult(p_node=np.zeros(n), p_cpu=np.zeros(n),
+                         p_mem=np.zeros(n), mode="static",
+                         provenance=provenance)
+
+
+class TestConfidence:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.none(),
+        hnp.arrays(np.uint8, st.integers(0, 300),
+                   elements=st.integers(0, len(PROVENANCE_CONFIDENCE) - 1)),
+    ), st.integers(0, 40))
+    def test_table_lookup_equals_the_masked_writes(self, provenance, n):
+        result = _result(provenance, n if provenance is None else None)
+        if provenance is None:  # legacy results: every sample restored
+            want = np.full(n, PROVENANCE_CONFIDENCE[1])
+        else:
+            want = np.empty(len(provenance), dtype=np.float64)
+            for code, conf in PROVENANCE_CONFIDENCE.items():
+                want[provenance == code] = conf
+        got = result.confidence()
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+        if len(got):
+            assert got.mean() == want.mean()  # bitwise
+
+    @pytest.mark.parametrize("provenance", [
+        np.array([0, 1, 3], dtype=np.uint8),
+        np.array([255], dtype=np.uint8),
+        np.array([0, -1], dtype=np.int8),
+        np.array([0.0, 1.0]),
+    ], ids=["code-3", "code-255", "negative", "float"])
+    def test_unknown_code_raises(self, provenance):
+        with pytest.raises(ValidationError, match="provenance code"):
+            _result(provenance).confidence()
 
 
 class TestReinforcementSampler:

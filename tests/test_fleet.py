@@ -147,6 +147,27 @@ def _log(svc, node_id):
     return svc.sinks[0].log(node_id)
 
 
+#: Every family a run's close writes.
+RUN_FAMILIES = (
+    "repro_sched_stride", "repro_sched_interval_seconds",
+    "repro_sched_decisions_total", "repro_monitor_runs_total",
+    "repro_monitor_samples_total", "repro_monitor_readings_per_run",
+    "repro_monitor_component_energy_joules_total",
+    "repro_monitor_retries_total", "repro_monitor_gated_readings_total",
+    "repro_monitor_outage_runs_total", "repro_monitor_degraded_runs_total",
+)
+
+
+def _run_families(svc) -> dict:
+    """The run-level families' samples, in a label-order-free form."""
+    snapshot = svc.registry.snapshot()
+    return {
+        name: sorted((sorted(s["labels"].items()), repr(s))
+                     for s in snapshot[name]["samples"])
+        for name in RUN_FAMILIES if name in snapshot
+    }
+
+
 def _online_counts(svc) -> tuple:
     """The service's online fine-tune and re-sync counters."""
     finetunes = svc.registry.counter(
@@ -241,6 +262,14 @@ class TestFleetMonitor:
         opens.clear()
         positions.clear()
         fleet = FleetMonitor(fleet_svc, chunk_size=16)
+        closes = []  # how many runs each of the fleet's close passes carried
+        close_all = fleet._close_all
+
+        def close_spy(runs):
+            closes.append(len(runs))
+            return close_all(runs)
+
+        fleet._close_all = close_spy
         fleet_errors, results = {}, []
         for _ in range(n_rounds):
             if hetero:
@@ -262,6 +291,9 @@ class TestFleetMonitor:
         assert set(seq_errors) == failing
         assert all(set(r) == set(node_ids) - failing for r in results)
         assert _online_counts(seq_svc) == _online_counts(fleet_svc)
+        # The fleet's batched closes write every run-level family exactly
+        # as the sequential service's closes of one do.
+        assert _run_families(seq_svc) == _run_families(fleet_svc)
         if mixed:
             assert results[0]["fl-b"].mode == "model_only"
         if mixed is True:
@@ -277,6 +309,26 @@ class TestFleetMonitor:
             assert all(len(counts) == len(node_ids) - 1 for counts in opens)
             assert opens[1] != opens[0]
             assert len(set(opens[1])) >= 2
+            # ... and every round's runs closed in one pass, whose governor
+            # decisions and health deltas the families above compared.
+            assert [n for n in closes if n] == [len(node_ids)] * n_rounds
+            families = _run_families(fleet_svc)
+            assert {"repro_sched_stride", "repro_sched_decisions_total",
+                    "repro_monitor_outage_runs_total"} <= set(families)
+            assert len(families["repro_sched_stride"]) == len(node_ids)
+            registry = fleet_svc.registry
+            decided = registry.counter("repro_sched_decisions_total", "",
+                                       ("node", "direction"))
+            for nid in node_ids:
+                stride = fleet_svc.sampling_stride(nid)
+                assert registry.gauge("repro_sched_stride", "", ("node",)) \
+                    .labels(node=nid).value == stride
+                assert registry.gauge(
+                    "repro_sched_interval_seconds", "", ("node",)
+                ).labels(node=nid).value \
+                    == fleet_svc.sensor(nid).interval_s * stride
+                assert sum(decided.labels(node=nid, direction=d).value
+                           for d in ("denser", "sparser", "hold")) == n_rounds
         if late:
             # Some stacked restore carried the late run beside runs that
             # were further along.
@@ -344,6 +396,46 @@ class TestFleetMonitor:
         assert failed.labels(node="fl-a").value == 0.0
         # the lost runs never reach end-of-run bookkeeping
         assert svc.health("fl-b").runs == svc.health("fl-c").runs == 0
+
+    def test_failed_close_loses_every_run_it_carried(self, chaos_reference):
+        class FailsOnSecondEnd(Sink):
+            def __init__(self) -> None:
+                self.ends = 0
+
+            def write(self, chunk) -> None:
+                pass
+
+            def end_run(self, node_id, workload, mode) -> None:
+                self.ends += 1
+                if self.ends == 2:
+                    raise OSError("sink full")
+
+        _, bundle = chaos_reference
+        short = bundle.slice(0, 16)  # one chunk: finishes on the first tick
+        closing = ("fl-s", "fl-t")
+        _, svc = _twin_services(chaos_reference, self.NODE_IDS + closing,
+                                sinks=[FailsOnSecondEnd()])
+        fleet = FleetMonitor(svc, chunk_size=16)
+        for nid in self.NODE_IDS:
+            fleet.submit(nid, bundle)
+        fleet.submit_all({nid: short for nid in closing})
+        # fl-s's run ends in every sink; fl-t's end raises in the second:
+        # the close loses both, and the tick returns nothing.
+        with pytest.raises(OSError, match="sink full"):
+            fleet.tick()
+        failed = svc.registry.counter(
+            "repro_monitor_failed_runs_total", "", ("node",)
+        )
+        assert [failed.labels(node=nid).value
+                for nid in self.NODE_IDS + closing] == [0.0] * 3 + [1.0] * 2
+        assert fleet.active_nodes == self.NODE_IDS
+        assert all(svc.health(nid).runs == 0 for nid in closing)
+        assert _run_families(svc) == {}  # nothing of the close was recorded
+        results = fleet.observe_all([])
+        assert set(results) == set(self.NODE_IDS)
+        assert all(len(result) == len(bundle) for result in results.values())
+        assert [failed.labels(node=nid).value
+                for nid in self.NODE_IDS + closing] == [0.0] * 3 + [1.0] * 2
 
     def test_failed_stacked_fine_tune_loses_only_the_runs_its_tick_carried(
         self, chaos_reference

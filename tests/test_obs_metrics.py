@@ -78,6 +78,24 @@ class TestLabels:
         with pytest.raises(ValidationError):
             fam.labels()
 
+    def test_positional_child_is_the_labels_child(self):
+        fam = MetricsRegistry().counter("c", "h", labels=("node", "mode"))
+        fam.child("n1", "static").inc()
+        fam.labels(node="n1", mode="static").inc(2)
+        assert fam.child("n1", "static") is fam.labels(mode="static", node="n1")
+        assert [(labels, child.value) for labels, child in fam.samples()] \
+            == [({"node": "n1", "mode": "static"}, 3.0)]
+
+    def test_positional_child_checks_what_it_creates(self):
+        fam = MetricsRegistry().counter("c", "h", labels=("node",))
+        with pytest.raises(ValidationError):
+            fam.child()
+        with pytest.raises(ValidationError):
+            fam.child("n1", "extra")
+        with pytest.raises(ValidationError):
+            fam.child(7)
+        assert fam.samples() == []
+
     def test_labeled_family_has_no_default_child(self):
         fam = MetricsRegistry().counter("c", "h", labels=("path",))
         with pytest.raises(ValidationError):

@@ -218,6 +218,96 @@ class TestSamplingGovernor:
         assert dense.stride == 1 and dense.direction == "denser"
         assert governor.update("n", 0.0, 0.05).direction == "hold"
 
+    @settings(max_examples=100, deadline=None)
+    @given(policies, st.data())
+    def test_update_all_equals_sequential_updates(self, policy, data):
+        """A batch decides what the batch's updates, one by one, decide —
+        including for nodes with history — and each decision is the scalar
+        decision functions' value."""
+        names = data.draw(st.lists(node_ids, min_size=1, max_size=12,
+                                   unique=True))
+        history = data.draw(st.lists(
+            st.tuples(st.sampled_from(names), confidences, budgets),
+            max_size=8,
+        ))
+        batch = data.draw(st.lists(confidences, min_size=len(names),
+                                   max_size=len(names)))
+        budget = data.draw(budgets)
+        together, alone = SamplingGovernor(policy), SamplingGovernor(policy)
+        for node_id, conf, spent in history:
+            together.update(node_id, conf, spent)
+            alone.update(node_id, conf, spent)
+        got = together.update_all(names, batch, budget)
+        want = [alone.update(n, c, budget) for n, c in zip(names, batch)]
+        assert got == want
+        assert together.schedule() == alone.schedule()
+        for decision, conf in zip(got, batch):
+            assert decision.stride == decide_stride(
+                policy, decision.node_id, conf, budget
+            )
+            assert decision.offset == decide_offset(
+                policy, decision.node_id, decision.stride
+            )
+
+    @pytest.mark.parametrize("policy", [
+        GovernorPolicy(aggressiveness=1.0, max_stride=4, confidence_floor=0.5),
+        GovernorPolicy(aggressiveness=0.0, max_stride=4),
+        GovernorPolicy(aggressiveness=1.0, max_stride=1),
+        GovernorPolicy(),
+    ], ids=["aggressive", "aggressiveness-0", "max-stride-1", "default"])
+    def test_update_all_edges_equal_sequential_updates(self, policy):
+        """Confidence at 0, at the floor and at 1, against budgets at 0, at
+        the target and above twice the target, on nodes whose previous
+        strides make the direction hold or turn denser."""
+        target = policy.target_budget_fraction
+        confs = [0.0, policy.confidence_floor, 1.0]
+        names = [f"n{i}" for i in range(len(confs))]
+        for budget in (0.0, target, 2.5 * target):
+            together, alone = SamplingGovernor(policy), SamplingGovernor(policy)
+            for governor in (together, alone):  # every node sparse first
+                for name in names:
+                    governor.update(name, 1.0, 2.5 * target)
+            got = together.update_all(names, confs, budget)
+            assert got == [alone.update(n, c, budget)
+                           for n, c in zip(names, confs)]
+            assert together.schedule() == alone.schedule()
+            assert got[0].stride == got[1].stride == 1  # dense at the floor
+            if policy.aggressiveness > 0 and policy.max_stride > 1:
+                assert [d.direction for d in got[:2]] == ["denser", "denser"]
+                # the first updates' inputs again hold; a freer budget never
+                # thins further
+                assert got[2].direction == "hold" if budget > target \
+                    else got[2].direction in ("hold", "denser")
+            else:
+                assert {d.direction for d in got} == {"hold"}
+
+    @pytest.mark.parametrize("names, confs, budget", [
+        (["a", "b"], [0.9, float("nan")], 0.05),
+        (["a", "b"], [0.9, 1.7], 0.05),
+        (["a", "b"], [0.9, -0.1], 0.05),
+        (["a", "b"], [0.9, float("inf")], 0.05),
+        (["a", "b"], [0.9, 0.8], -1.0),
+        (["a", "b"], [0.9, 0.8], float("nan")),
+        (["a", "b"], [0.9, 0.8], float("inf")),
+        (["a", "a"], [0.9, 0.8], 0.05),
+        (["a", "b"], [0.9], 0.05),
+    ], ids=["nan-confidence", "confidence-above-1", "negative-confidence",
+            "infinite-confidence", "negative-budget", "nan-budget",
+            "infinite-budget", "node-named-twice", "short-confidences"])
+    def test_bad_feedback_raises_before_any_state_changes(
+        self, names, confs, budget
+    ):
+        governor = SamplingGovernor(GovernorPolicy(aggressiveness=1.0))
+        first = governor.update("a", 1.0, 0.05)
+        with pytest.raises(ValidationError):
+            governor.update_all(names, confs, budget)
+        assert governor.schedule() == {"a": first.stride}
+        assert governor.last_decision("a") is first
+        assert governor.last_decision("b") is None
+        if len(names) == len(set(names)) == len(confs):
+            with pytest.raises(ValidationError):  # the batch of one too
+                governor.update(names[1], confs[1], budget)
+
     def test_policy_validation(self):
         with pytest.raises(ValidationError):
             GovernorPolicy(aggressiveness=1.5)

@@ -244,6 +244,27 @@ class TestOpenAll:
         assert tracer.stats()["toy.open"].count == 2
 
 
+class TestCloseAll:
+    """A tick's finished runs: each stage once over them, stage-major."""
+
+    def test_stage_major_through_each_stages_close_run(self):
+        order = []
+
+        class Closes(Stage):
+            def __init__(self, name):
+                self.name = name
+
+            def close_run(self, ctx):
+                order.append((self.name, ctx.node_id))
+
+        pipe = StreamPipeline([Closes("a"), Closes("b")])
+        pipe.close_all([RunContext(f"n{i}", "w", 8) for i in range(2)])
+        assert order == [("a", "n0"), ("a", "n1"), ("b", "n0"), ("b", "n1")]
+        order.clear()
+        pipe.close_run(RunContext("n9", "w", 8))  # the batch of one
+        assert order == [("a", "n9"), ("b", "n9")]
+
+
 class TestJsonlSink:
     def _chunk(self, start, stop, seq):
         n = stop - start
