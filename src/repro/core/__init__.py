@@ -26,6 +26,7 @@ from .highrpm import (
     HighRPM,
     MonitorResult,
     provenance_from_readings,
+    provenance_stack,
 )
 from .srr import SRR
 from .static_trr import StaticTRR, StaticTRRResult, StaticTRRStream
@@ -48,6 +49,7 @@ __all__ = [
     "PROV_RESTORED",
     "PROV_MODEL_ONLY",
     "provenance_from_readings",
+    "provenance_stack",
     "DynamicTRREnsemble",
     "UncertainRestoration",
 ]

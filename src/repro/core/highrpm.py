@@ -87,30 +87,58 @@ def provenance_from_readings(
     when the nearest reading is within ``outage_factor · interval_s``
     seconds (normal restoration reach), and ``PROV_MODEL_ONLY`` beyond that
     — inside an outage the estimator is extrapolating without an anchor.
+    ``interval_s`` defaults to the readings' own nominal spacing.
 
     ``start``/``stop`` restrict the output to the sample span ``[start,
-    stop)`` of the ``n``-sample trace (chunked callers); per-sample values
-    are identical to slicing the whole-trace result.
+    stop)`` of the ``n``-sample trace. The :func:`provenance_stack` of one.
     """
-    interval = int(readings.interval_s if interval_s is None else interval_s)
-    stop = n if stop is None else int(stop)
-    idx = readings.indices
-    t = np.arange(start, stop, dtype=np.int64)
-    far = np.int64(n + 1)
+    intervals = None if interval_s is None else [interval_s]
+    return provenance_stack([n], [readings], [outage_factor],
+                            intervals)[0][start:stop]
+
+
+def provenance_stack(ns, readings, outage_factors, intervals=None
+                     ) -> "list[np.ndarray]":
+    """:func:`provenance_from_readings` of many whole traces in one pass.
+
+    ``ns``, ``readings`` and ``outage_factors`` (and ``intervals``, which
+    default to each run's ``readings.interval_s``) are parallel, one entry
+    per run. The traces are laid end to end, each run's reading positions
+    shifted by its offset, so one search finds every sample's neighbouring
+    readings; a neighbour outside the sample's own run does not count. The
+    distances are integers, so each run's codes equal its own pass's.
+    Returns one array per run (views of one buffer).
+    """
+    if intervals is None:
+        intervals = [r.interval_s for r in readings]
+    ns = np.asarray(ns, dtype=np.int64)
+    if ns.shape[0] == 0:
+        return []
+    counts = np.array([len(r) for r in readings], dtype=np.int64)
+    base = np.zeros_like(ns)
+    np.cumsum(ns[:-1], out=base[1:])
+    idx = np.concatenate([r.indices for r in readings]) + base.repeat(counts)
+    first = np.zeros_like(counts)  # each run's first reading in ``idx``
+    np.cumsum(counts[:-1], out=first[1:])
+    t = np.arange(int(ns.sum()), dtype=np.int64)
+    far = t.shape[0] + 1  # beyond any in-run distance
     # One searchsorted serves both neighbour distances: left/right insertion
     # points only differ at exact reading instants, whose provenance is
     # overwritten with PROV_MEASURED below anyway (prev_dist is 0 there, so
     # the nearest-reading distance is unchanged too).
     pos = idx.searchsorted(t, side="right")
-    prev_dist = np.where(pos > 0, t - idx[np.maximum(pos - 1, 0)], far)
-    next_dist = np.where(pos < idx.size, idx[np.minimum(pos, idx.size - 1)] - t, far)
+    prev_dist = np.where(pos > first.repeat(ns),
+                         t - idx[np.maximum(pos - 1, 0)], far)
+    next_dist = np.where(pos < (first + counts).repeat(ns),
+                         idx[np.minimum(pos, idx.shape[0] - 1)] - t, far)
     nearest = np.minimum(prev_dist, next_dist)
-    prov = np.full(stop - start, PROV_RESTORED)
-    prov[nearest > outage_factor * interval] = PROV_MODEL_ONLY
-    sel = idx.searchsorted(np.array((start, stop)), side="left")
-    measured = idx[sel[0]:sel[1]]
-    prov[measured - start] = PROV_MEASURED
-    return prov
+    reach = np.array([f * int(iv) for f, iv in zip(outage_factors, intervals)],
+                     dtype=np.float64)
+    prov = np.full(t.shape[0], PROV_RESTORED)
+    prov[nearest > reach.repeat(ns)] = PROV_MODEL_ONLY
+    prov[idx] = PROV_MEASURED
+    bounds = base.tolist() + [t.shape[0]]
+    return [prov[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)

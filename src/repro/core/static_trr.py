@@ -15,6 +15,13 @@ Pipeline:
 3. **Post-processing** — Algorithm 1 fuses the two estimates using the
    physical power limits and the α/β agreement thresholds.
 
+Many runs fit as one (:func:`fit_streams`, the fleet's round open; a
+single run is the stack of one): trend and fold splines as spline stacks,
+and every default ResModel in one level-synchronous tree pass per PMC
+width (:func:`~repro.ml.tree.fit_trees`), written straight into the
+compiled pool the runs' chunks are then restored through. Each run is
+bitwise what it would be fitted alone.
+
 Faithfulness note: Operation 1 in the paper's Algorithm 1 triggers on
 ``P_splined[i] ≥ 30 % · (P_upper − P_bottom)``, which for any loaded node is
 always true and would flatten the whole trace. We trigger on the *predicted
@@ -36,16 +43,22 @@ from ..errors import ValidationError
 from ..interp.spline import (
     CubicSplineInterpolator,
     SplineStack,
+    fit_predict_stack,
     fit_stack,
-    predict_stack,
 )
-from ..ml.tree import DecisionTreeRegressor
+from ..ml.tree import fit_trees
 from ..obs import current_tracer
 from ..perf import precompile
 from ..perf.batch import TreeStack, single_tree_of
 from ..sensors.base import SparseReadings
 from ..utils.validation import check_2d
 from .config import HighRPMConfig
+
+
+#: The default ResModel: a regression tree over the PMCs. The residual set
+#: is small (one row per IM reading), so the tree is kept shallow — at
+#: depth 12 it memorises reading noise.
+RES_MODEL = dict(max_depth=4, min_samples_leaf=4)
 
 
 @dataclass(frozen=True)
@@ -84,11 +97,9 @@ class StaticTRR:
         self.config = config or HighRPMConfig()
         self.p_upper = p_upper if p_upper is not None else self.config.p_upper
         self.p_bottom = p_bottom if p_bottom is not None else self.config.p_bottom
-        # The residual set is small (one row per IM reading), so the tree is
-        # kept shallow — at depth 12 it memorises reading noise.
-        self._res_model_factory = res_model_factory or (
-            lambda: DecisionTreeRegressor(min_samples_leaf=4, max_depth=4)
-        )
+        # None: the default ResModel (``RES_MODEL``), fitted in tree
+        # stacks; a pluggable learner (the ablations) fits on its own.
+        self._res_model_factory = res_model_factory
         # The trend model is pluggable for ablations (spline vs. linear
         # interpolation); anything with fit(x, y)/predict(xq) works.
         self._trend_factory = trend_factory or CubicSplineInterpolator
@@ -212,8 +223,9 @@ class StaticTRR:
                      readings: SparseReadings) -> np.ndarray:
         """Check one run's :meth:`fit_stream` inputs without fitting: the
         readings cover a trace and hold at least four values, there is one
-        PMC row per reading, and the power limits resolve. Returns the rows
-        as a 2-D array; raises :class:`~repro.errors.ValidationError`."""
+        finite PMC row per reading, and the power limits resolve. Returns
+        the rows as a 2-D array; raises
+        :class:`~repro.errors.ValidationError`."""
         pmcs_rows = check_2d(pmcs_rows, "pmcs_rows")
         self._check_trace(readings, int(readings.n_dense))
         if pmcs_rows.shape[0] != len(readings):
@@ -221,6 +233,8 @@ class StaticTRR:
                 f"fit_stream needs one PMC row per reading: got "
                 f"{pmcs_rows.shape[0]} rows for {len(readings)} readings"
             )
+        if not np.isfinite(pmcs_rows).all():
+            raise ValidationError("PMC rows at the readings must be finite")
         self._limits(readings)
         return pmcs_rows
 
@@ -229,12 +243,15 @@ def fit_streams(trrs, pmcs_rows, readings) -> "list[StaticTRRStream]":
     """:meth:`StaticTRR.fit_stream` for many runs in one pass.
 
     ``trrs``, ``pmcs_rows`` and ``readings`` are parallel sequences, one
-    entry per run. Every run's default spline trend and its two cross-fit
-    fold splines fit as one stack per knot count, and the fold splines are
-    evaluated at their held-out knots in one pass; each run's ResModel
-    still fits on its own. Each returned stream is bitwise equal to the
-    run's own ``fit_stream``. A run that fails :meth:`StaticTRR.check_stream`
-    raises before any run is fitted.
+    entry per run. Every run's default spline trend fits as one stack per
+    knot count, its two cross-fit fold splines fit and evaluate at their
+    held-out knots as stacks too, and every default ResModel fits in one
+    level-synchronous tree pass per PMC width
+    (:func:`~repro.ml.tree.fit_trees`), compiled into one pool that the
+    first restore's :class:`~repro.perf.TreeStack` reads without
+    concatenating the trees. Each returned stream
+    is bitwise equal to the run's own ``fit_stream``. A run that fails
+    :meth:`StaticTRR.check_stream` raises before any run is fitted.
     """
     rows = [trr.check_stream(p, r)
             for trr, p, r in zip(trrs, pmcs_rows, readings)]
@@ -246,13 +263,15 @@ def _fit_all(trrs, pmcs_rows, readings) -> None:
     """Steps 1 and 2 for many runs: trend splines, cross-fitted residual
     targets and ResModels (the dense predictions come later).
 
-    Runs with the default trend model fit and predict as spline stacks
-    (:func:`~repro.interp.spline.fit_stack`,
-    :func:`~repro.interp.spline.predict_stack`); a pluggable trend model
-    fits and predicts on its own.
+    Runs with the default trend model fit as spline stacks
+    (:func:`~repro.interp.spline.fit_stack`), and their fold splines fit
+    and evaluate without being kept
+    (:func:`~repro.interp.spline.fit_predict_stack`); a pluggable trend
+    model fits and predicts on its own. The default ResModels fit as tree
+    stacks, one per PMC width; a pluggable one fits on its own.
     """
     tracer = current_tracer()
-    knots, held_out = [], []
+    knots, folds, held_out = [], [], []
     for trr, r in zip(trrs, readings):
         trr._lo, trr._hi = trr._limits(r)
         x = r.indices.astype(float)
@@ -260,30 +279,27 @@ def _fit_all(trrs, pmcs_rows, readings) -> None:
         # Step 1: the trend from all readings. Step 2's 2-fold cross-fit:
         # each fold spline fits one parity of the readings and is measured
         # on the other (at least four readings, so each fold has >= 2).
-        knots += [(x, vals), (x[0::2], vals[0::2]), (x[1::2], vals[1::2])]
+        knots.append((x, vals))
+        folds += [(x[0::2], vals[0::2]), (x[1::2], vals[1::2])]
         held_out += [x[1::2], x[0::2]]
-    factories = [trr._trend_factory for trr in trrs for _ in range(3)]
     with tracer.span("trr.spline"):
-        models = _fit_trends(factories, knots)
+        for trr, spline in zip(trrs, _fit_trends(
+                [trr._trend_factory for trr in trrs], knots)):
+            trr.spline_ = spline
     with tracer.span("trr.resmodel"):
-        fold_preds = _predict_trends(
-            [m for i, m in enumerate(models) if i % 3], held_out
-        )
-        for k, (trr, rows, r) in enumerate(zip(trrs, pmcs_rows, readings)):
-            trr.spline_ = models[3 * k]
+        fold_preds = _fold_predictions(
+            [trr._trend_factory for trr in trrs for _ in range(2)], folds,
+            held_out)
+        targets = []
+        for k, (trr, r) in enumerate(zip(trrs, readings)):
             vals = r.values
             residual_targets = np.empty(len(r))
             residual_targets[1::2] = vals[1::2] - fold_preds[2 * k]
             residual_targets[0::2] = vals[0::2] - fold_preds[2 * k + 1]
             if not trr.config.residual_signed:
                 residual_targets = np.abs(residual_targets)
-            trr.res_model_ = trr._res_model_factory()
-            trr.res_model_.fit(rows, residual_targets)
-            # Flatten the freshly fitted ResModel eagerly: the dense
-            # prediction (and any later re-restore) runs over whole traces
-            # or fleet-stacked chunks, exactly the batch shapes the
-            # compiled descent is built for.
-            precompile(trr.res_model_)
+            targets.append(residual_targets)
+        _fit_res_models(trrs, pmcs_rows, targets)
 
 
 def _fit_trends(factories, knots) -> list:
@@ -298,17 +314,38 @@ def _fit_trends(factories, knots) -> list:
     return models
 
 
-def _predict_trends(models, queries) -> list:
-    """Each trend model at its own queries; default splines in one pass."""
-    stacked = [i for i, m in enumerate(models) if _stackable(m)]
-    preds = [None] * len(models)
-    for i, pred in zip(stacked, predict_stack([models[i] for i in stacked],
-                                              [queries[i] for i in stacked])):
+def _fold_predictions(factories, knots, queries) -> list:
+    """Each knot set's trend model at its own queries, the model discarded;
+    default splines as stacks."""
+    stacked = [i for i, f in enumerate(factories) if f is CubicSplineInterpolator]
+    preds = [None] * len(knots)
+    for i, pred in zip(stacked, fit_predict_stack(
+            [knots[i] for i in stacked], [queries[i] for i in stacked])):
         preds[i] = pred
-    for i, model in enumerate(models):
+    for i, factory in enumerate(factories):
         if preds[i] is None:
-            preds[i] = model.predict(queries[i])
+            preds[i] = factory().fit(*knots[i]).predict(queries[i])
     return preds
+
+
+def _fit_res_models(trrs, pmcs_rows, targets) -> None:
+    """Fit every run's ResModel. Default ResModels fit in one
+    :func:`~repro.ml.tree.fit_trees` pass, which groups them by PMC width
+    and builds their compiled form as it fits; a pluggable one fits on its
+    own and is flattened eagerly, since the dense prediction runs over
+    whole traces or fleet-stacked chunks, the batch shapes the compiled
+    descent is built for."""
+    default = [i for i, trr in enumerate(trrs) if trr._res_model_factory is None]
+    if default:
+        for i, tree in zip(default, fit_trees([pmcs_rows[i] for i in default],
+                                              [targets[i] for i in default],
+                                              **RES_MODEL)):
+            trrs[i].res_model_ = tree
+    for i, trr in enumerate(trrs):
+        if trr._res_model_factory is not None:
+            trr.res_model_ = trr._res_model_factory()
+            trr.res_model_.fit(pmcs_rows[i], targets[i])
+            precompile(trr.res_model_)
 
 
 class _FusionScan:
@@ -492,8 +529,10 @@ def _residuals(streams, chunks, hats) -> "list[np.ndarray]":
 
     A stack concatenates its members' feature slots, so only trees over
     the same PMC width fuse (CPU hosts with CPU hosts, GPU nodes with GPU
-    nodes). Like the spline stack, it is cached on its member streams and
-    reused while the width's members stay the same trees."""
+    nodes); the trees of one :func:`~repro.ml.tree.fit_trees` pass, in
+    order, already lie in one pool, which the stack reads as it is. Like
+    the spline stack, it is cached on its member streams and reused while
+    the width's members stay the same trees."""
     out = list(hats)
     groups: "dict[int, list[int]]" = {}
     for i, (stream, chunk, hat) in enumerate(zip(streams, chunks, hats)):

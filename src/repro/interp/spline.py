@@ -39,11 +39,29 @@ def _thomas_solve(off: np.ndarray, diag: np.ndarray,
     Row ``i`` of a system reads ``off[i-1]·x[i-1] + diag[i]·x[i] +
     off[i]·x[i+1] = rhs[i]``; ``off`` has ``m − 1`` columns. The matrix
     must be diagonally dominant (true for the spline system, whose diagonal
-    is 2·(h_i + h_{i+1}) against off-diagonals h). The recurrence runs per
-    system on Python floats: numpy's per-column form would pay one array
-    call per knot, which dominates a single long fit.
+    is 2·(h_i + h_{i+1}) against off-diagonals h). The recurrence steps
+    along the unknowns: across all ``R`` systems at once (one array call
+    per unknown) when there are at least as many systems as unknowns, else
+    per system on Python floats (a single long fit would pay one array call
+    per knot). Both perform the same IEEE-754 double operations in the same
+    order, so every system's solution is bitwise the same either way.
     """
-    m = diag.shape[1]
+    r, m = diag.shape
+    if r >= m:
+        c = np.zeros((r, m))
+        d = np.empty((r, m))
+        if m > 1:
+            c[:, 0] = off[:, 0] / diag[:, 0]
+        d[:, 0] = rhs[:, 0] / diag[:, 0]
+        for i in range(1, m):
+            denom = diag[:, i] - off[:, i - 1] * c[:, i - 1]
+            if i < m - 1:
+                c[:, i] = off[:, i] / denom
+            d[:, i] = (rhs[:, i] - off[:, i - 1] * d[:, i - 1]) / denom
+        x = d
+        for i in range(m - 2, -1, -1):
+            x[:, i] = d[:, i] - c[:, i] * x[:, i + 1]
+        return x
     out = []
     for o, dg, b in zip(off.tolist(), diag.tolist(), rhs.tolist()):
         c = [o[0] / dg[0] if m > 1 else 0.0]
@@ -148,6 +166,80 @@ def fit_stack(knots) -> "list[CubicSplineInterpolator]":
     return out
 
 
+def fit_predict_stack(knots, queries) -> "list[np.ndarray]":
+    """Fit one natural spline per ``(x, y)`` knot set and evaluate it at
+    its own query points, without building the splines.
+
+    Bitwise equal to ``predict_stack(fit_stack(knots), queries)``: sets
+    with equal knot counts fit as one :func:`fit_stack` group, and each
+    group's queries evaluate on the group's coefficient arrays in one pass.
+    For callers that need the values only (StaticTRR's cross-fit folds).
+    Raises :class:`ValidationError` as :func:`fit_stack` does, or if the
+    query count does not match.
+    """
+    sets = [_knots(x, y) for x, y in knots]
+    queries = [check_1d(np.atleast_1d(q), "xq") for q in queries]
+    if len(queries) != len(sets):
+        raise ValidationError(
+            f"{len(queries)} query arrays for {len(sets)} knot sets"
+        )
+    groups: "dict[int, list[int]]" = {}
+    for i, (x, _) in enumerate(sets):
+        groups.setdefault(x.shape[0], []).append(i)
+    out: "list[np.ndarray]" = [None] * len(sets)
+    for rows in groups.values():
+        n = sets[rows[0]][0].shape[0]
+        x, _, _, coef = _fit_group(
+            np.concatenate([sets[i][0] for i in rows]).reshape(-1, n),
+            np.concatenate([sets[i][1] for i in rows]).reshape(-1, n),
+            "linear",
+        )
+        counts = np.array([queries[i].shape[0] for i in rows], dtype=np.intp)
+        xq = np.concatenate([queries[i] for i in rows])
+        first = (np.arange(len(rows)) * n).repeat(counts)  # each row's x_0
+        # The interval of each query: the row's inner knots at or below it.
+        if n <= _BROADCAST_KNOTS:
+            inner = x[:, 1:].repeat(counts, axis=0)
+            idx = np.count_nonzero(inner <= xq[:, None], axis=1)
+        else:
+            bounds = np.cumsum(counts).tolist()
+            idx = np.concatenate([
+                row[1:].searchsorted(xq[b - c:b], side="right")
+                for row, c, b in zip(x, counts.tolist(), bounds)
+            ])
+        values = _horner(x.ravel(), coef.transpose(1, 0, 2).reshape(4, -1),
+                         first, first + idx, xq)
+        bounds = [0, *np.cumsum(counts).tolist()]
+        for i, a, b in zip(rows, bounds, bounds[1:]):
+            out[i] = values[a:b]
+    return out
+
+
+#: Up to this many knots a group finds its queries' intervals by comparing
+#: against every knot at once; above it, by one search per spline.
+_BROADCAST_KNOTS = 16
+
+
+def _horner(x, coef, first, idx, xq) -> np.ndarray:
+    """Linear-extrapolating splines laid end to end, evaluated at ``xq``:
+    ``x`` holds the knots, ``coef`` the ``(4, ·)`` Horner rows (see
+    :func:`_fit_group`), ``idx`` each query's interval and ``first`` its
+    spline's knot 0, both as positions in ``x``."""
+    dx = xq - x[idx]
+    # c0 + dx * (c1 + dx * (c2 + dx * c3)), one coefficient row at a time
+    out = dx * coef[3, idx]
+    for row in (2, 1):
+        out += coef[row, idx]
+        out *= dx
+    out += coef[0, idx]
+    below = xq < x[first]
+    if below.any():
+        start = first[below]
+        # c1 of each spline's interval 0 is its first derivative at x_0.
+        out[below] = coef[0, start] + coef[1, start] * (xq[below] - x[start])
+    return out
+
+
 def predict_stack(splines, queries) -> "list[np.ndarray]":
     """Evaluate each fitted linear-extrapolating spline (as
     :func:`fit_stack` fits them) at its own query points, in one pass.
@@ -206,21 +298,7 @@ class SplineStack:
             for inner, c, b in zip(self._inner, counts, bounds)
         ])
         idx += first
-        x = self._x
-        coef = self._coef
-        dx = xq - x[idx]
-        # c0 + dx * (c1 + dx * (c2 + dx * c3)), one coefficient row at a time
-        out = dx * coef[3, idx]
-        for row in (2, 1):
-            out += coef[row, idx]
-            out *= dx
-        out += coef[0, idx]
-        below = xq < x[first]
-        if below.any():
-            start = first[below]
-            # c1 of each spline's interval 0 is its first derivative at x_0.
-            out[below] = coef[0, start] + coef[1, start] * (xq[below] - x[start])
-        return out
+        return _horner(self._x, self._coef, first, idx, xq)
 
 
 class CubicSplineInterpolator:

@@ -8,7 +8,9 @@ serve many interleaved runs. The run driver,
 :class:`~repro.monitor.fleet.FleetMonitor`, drives one context per node
 through the shared stages, a round's opens and a tick's chunks each as
 one batch per stage: the ingest, calibrate and gate stages open run by
-run, the restore stage fits every static run of the round in one stack.
+run; the restore stage flags every run's provenance in one pass and fits
+every static run of the round in one stack, its ResModel trees in one
+level-synchronous pass per PMC width.
 
 Degradation policy is centralised in
 :meth:`ObservationContext.fail_or_degrade`: any stage that finds the IM
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.dynamic_trr import run_fine_tunes
-from ..core.highrpm import PROV_MODEL_ONLY, provenance_from_readings
+from ..core.highrpm import PROV_MODEL_ONLY, provenance_stack
 from ..core.static_trr import fit_streams, restore_streams
 from ..errors import SensorError, ValidationError
 from ..obs import current_tracer
@@ -266,24 +268,18 @@ class RestoreStage(Stage):
     def open_all(self, contexts, lost: list) -> None:
         """Open a round's restorers: every static run's StaticTRR fits in
         one :func:`~repro.core.static_trr.fit_streams` stack, each dynamic
-        and model-only run gets its own online session.
+        and model-only run gets its own online session, and every run with
+        readings gets its whole trace's provenance in one
+        :func:`~repro.core.highrpm.provenance_stack` pass.
 
         Each static run's inputs are checked on their own first
         (:meth:`~repro.core.StaticTRR.check_stream`), so a malformed run is
-        lost alone; if the stacked fit itself raises, every static run of
-        the stack is lost to it."""
+        lost alone; if the provenance pass or the stacked fit itself
+        raises, every run it carried is lost to it."""
         static = []  # (ctx, unfitted StaticTRR, PMC rows at the readings)
+        anchored = []  # runs whose provenance follows their readings
         for ctx in contexts:
             try:
-                # Provenance depends only on the run's reading positions,
-                # which are fixed once the gate has passed — flag the whole
-                # trace here and slice per chunk instead of re-deriving
-                # neighbour distances for every chunk of every node.
-                if ctx.mode != "model_only":
-                    ctx.provenance_full = provenance_from_readings(
-                        ctx.n_samples, ctx.readings,
-                        outage_factor=ctx.model.config.resync_gap_factor,
-                    )
                 if ctx.mode == "static":
                     trr = ctx.model.static_trr()
                     static.append((ctx, trr, trr.check_stream(
@@ -292,8 +288,25 @@ class RestoreStage(Stage):
                     )))
                 else:  # dynamic, or model_only's anchorless forecast
                     ctx.restorer = ctx.model.online_session()
+                if ctx.mode != "model_only":
+                    anchored.append(ctx)
             except Exception as exc:  # lost alone; the batch still opens
                 lost.append((ctx, exc))
+        if anchored:
+            # Provenance depends only on a run's reading positions, which
+            # are fixed once the gate has passed: flag every whole trace
+            # here and slice per chunk.
+            try:
+                provenance = provenance_stack(
+                    [ctx.n_samples for ctx in anchored],
+                    [ctx.readings for ctx in anchored],
+                    [ctx.model.config.resync_gap_factor for ctx in anchored],
+                )
+            except Exception as exc:  # the pass's runs are lost together
+                lost.extend((ctx, exc) for ctx in anchored)
+                return
+            for ctx, flags in zip(anchored, provenance):
+                ctx.provenance_full = flags
         if not static:
             return
         try:

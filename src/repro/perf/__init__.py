@@ -13,7 +13,7 @@ See ``docs/performance.md`` for the cache-invalidation contract and for
 how the end-to-end benchmark (``perfbench/``) measures it.
 """
 
-from .batch import TreeStack, single_tree_of
+from .batch import TreeStack, compile_pool, single_tree_of
 from .compile import (
     compile_boosting,
     compile_forest,
@@ -36,6 +36,7 @@ __all__ = [
     "TreeStack",
     "single_tree_of",
     "compile_boosting",
+    "compile_pool",
     "compile_lstm",
     "compile_forest",
     "compile_mlp",

@@ -9,6 +9,11 @@ pool (per-tree root offsets, shifted child indices) and descends the
 combined batch in a single frontier, so the per-level Python cost is paid
 once for the whole fleet.
 
+Trees fitted together (:func:`repro.ml.tree.fit_trees`) are compiled
+together too: :func:`compile_pool` lays every tree's nodes end to end once,
+each member is a view of that pool, and a stack of the pool's members in
+pool order takes the pool's arrays instead of concatenating its members'.
+
 Numerical contract: the stacked descent performs exactly the comparisons
 of each member tree on its own rows, so per-run outputs are bit-identical
 to ``tree.predict(rows)``.
@@ -20,7 +25,13 @@ import numpy as np
 
 from ..errors import NotFittedError
 from .compile import compile_tree
-from .flat_tree import _COMPRESS_EVERY, CompiledTree, _Workspace, thread_scratch
+from .flat_tree import (
+    _COMPRESS_EVERY,
+    CompiledTree,
+    _layout,
+    _Workspace,
+    thread_scratch,
+)
 from .telemetry import record_predict
 
 
@@ -41,31 +52,107 @@ def single_tree_of(est) -> "CompiledTree | None":
     return None
 
 
+class _Pool:
+    """The kernel arrays of trees laid end to end (see :func:`compile_pool`).
+
+    Members point at their pool; the pool holds no member, so a pool and
+    its trees form no reference cycle."""
+
+    __slots__ = ("arrays", "node_offsets", "counts", "max_depth",
+                 "min_leaf_depth")
+
+    def __init__(self, arrays, node_offsets, counts, max_depth,
+                 min_leaf_depth) -> None:
+        self.arrays = arrays
+        self.node_offsets = node_offsets
+        self.counts = counts
+        self.max_depth = max_depth
+        self.min_leaf_depth = min_leaf_depth
+
+
+def compile_pool(feature, threshold, left, right, value, depth, counts
+                 ) -> "list[CompiledTree]":
+    """Compile many trees at once from their nodes laid end to end.
+
+    Tree ``i`` owns the next ``counts[i]`` entries of the per-node arrays:
+    ``feature`` (-1 at leaves), ``threshold``, ``left``/``right`` (child
+    ids within the tree, root 0; ignored at leaves), ``value`` and
+    ``depth``. Returns one
+    :class:`CompiledTree` per tree, each a view into one shared layout, so
+    the pass costs a few array operations however many trees it holds; a
+    :class:`TreeStack` of the members in this order reuses the layout.
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    offsets = np.zeros(counts.shape[0], dtype=np.intp)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    ids = np.arange(feature.shape[0], dtype=np.intp) - np.repeat(offsets, counts)
+    arrays = _layout(feature, threshold, left, right, value, ids)
+    max_depths = np.maximum.reduceat(depth, offsets).tolist()
+    leaf_depth = np.where(feature < 0, depth, np.iinfo(np.intp).max)
+    min_leaf_depths = np.minimum.reduceat(leaf_depth, offsets).tolist()
+    pool = _Pool(arrays, offsets, counts, max(max_depths), min(min_leaf_depths))
+    trees = []
+    for i, (a, b) in enumerate(zip(offsets.tolist(),
+                                   (offsets + counts).tolist())):
+        tree = CompiledTree.__new__(CompiledTree)
+        tree._adopt(arrays, a, b, max_depths[i], min_leaf_depths[i])
+        tree._pool = pool
+        tree._pool_index = i
+        trees.append(tree)
+    return trees
+
+
+def _whole_pool(trees) -> "_Pool | None":
+    """The pool whose members ``trees`` are, all of them in pool order."""
+    pool = trees[0]._pool
+    if pool is None or len(trees) != pool.counts.shape[0]:
+        return None
+    for i, tree in enumerate(trees):
+        if tree._pool is not pool or tree._pool_index != i:
+            return None
+    return pool
+
+
 class TreeStack:
     """Heterogeneous compiled trees fused into one frontier descent.
 
     Each member tree predicts its *own* row batch; the stacked descent
     starts every (tree, row) pair at that tree's root slot inside one
-    concatenated slot pool.
+    concatenated slot pool. The members of one :func:`compile_pool`, in
+    pool order, already lie end to end, so their stack reads the pool.
     """
 
     def __init__(self, trees: "list[CompiledTree]") -> None:
         if not trees:
             raise NotFittedError("TreeStack needs at least one compiled tree")
         self.trees = list(trees)
-        n_slots = [t._slot_thr.shape[0] for t in self.trees]
-        offsets = np.concatenate([[0], np.cumsum(n_slots)[:-1]]).astype(np.intp)
-        #: slot index of each member tree's root in the concatenated pool.
-        self.root_slots = offsets
-        self._slot_gf = np.concatenate([t._slot_gf for t in self.trees])
-        self._slot_thr = np.concatenate([t._slot_thr for t in self.trees])
-        self._slot_live = np.concatenate([t._slot_live for t in self.trees])
-        self._slot_value = np.concatenate([t._slot_value for t in self.trees])
-        self._slot_child = np.concatenate(
-            [t._slot_child + off for t, off in zip(self.trees, offsets)]
-        )
-        self.max_depth = max(t.max_depth for t in self.trees)
-        self.min_leaf_depth = min(t.min_leaf_depth for t in self.trees)
+        pool = _whole_pool(self.trees)
+        if pool is not None:
+            slots = pool.arrays
+            #: slot index of each member tree's root in the concatenated pool.
+            self.root_slots = 2 * pool.node_offsets
+            self._slot_gf = slots["_slot_gf"]
+            self._slot_thr = slots["_slot_thr"]
+            self._slot_live = slots["_slot_live"]
+            self._slot_value = slots["_slot_value"]
+            # Pool child slots are local to their tree: shift by its root.
+            self._slot_child = slots["_slot_child"] + np.repeat(
+                self.root_slots, 2 * pool.counts)
+            self.max_depth = pool.max_depth
+            self.min_leaf_depth = pool.min_leaf_depth
+        else:
+            n_slots = [t._slot_thr.shape[0] for t in self.trees]
+            offsets = np.concatenate([[0], np.cumsum(n_slots)[:-1]]).astype(np.intp)
+            self.root_slots = offsets
+            self._slot_gf = np.concatenate([t._slot_gf for t in self.trees])
+            self._slot_thr = np.concatenate([t._slot_thr for t in self.trees])
+            self._slot_live = np.concatenate([t._slot_live for t in self.trees])
+            self._slot_value = np.concatenate([t._slot_value for t in self.trees])
+            self._slot_child = np.concatenate(
+                [t._slot_child + off for t, off in zip(self.trees, offsets)]
+            )
+            self.max_depth = max(t.max_depth for t in self.trees)
+            self.min_leaf_depth = min(t.min_leaf_depth for t in self.trees)
         self._ws: "dict[int, tuple[int, _Workspace]]" = {}
 
     def _workspace(self, n: int) -> _Workspace:
@@ -92,8 +179,7 @@ class TreeStack:
         if n == 0:
             return slices
         if self.max_depth == 0:  # every member is a root-only tree
-            for sl, tree in zip(slices, self.trees):
-                sl[:] = tree.value[0]
+            out[:] = self._slot_value[self.root_slots].repeat(ns)
             return slices
         X = np.vstack(parts)
         xt = np.ascontiguousarray(X.T).ravel()

@@ -19,6 +19,8 @@ Cache-invalidation contract (honoured by every integrated estimator):
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import NotFittedError
 from .flat_lstm import compile_lstm as compile_lstm  # re-export: window-parameterised
 from .flat_mlp import CompiledMLP
@@ -30,7 +32,14 @@ def compile_tree(tree) -> CompiledTree:
     nodes = getattr(tree, "_nodes", None)
     if nodes is None:
         raise NotFittedError("compile_tree needs a fitted tree")
-    return CompiledTree(nodes)
+    n = len(nodes)
+    return CompiledTree(
+        np.fromiter((nd.feature for nd in nodes), dtype=np.intp, count=n),
+        np.fromiter((nd.threshold for nd in nodes), dtype=np.float64, count=n),
+        np.fromiter((nd.left for nd in nodes), dtype=np.intp, count=n),
+        np.fromiter((nd.right for nd in nodes), dtype=np.intp, count=n),
+        np.fromiter((nd.value for nd in nodes), dtype=np.float64, count=n),
+    )
 
 
 def compile_forest(forest) -> CompiledForest:

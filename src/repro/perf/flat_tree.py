@@ -104,48 +104,75 @@ class _Workspace:
         self.fin = np.empty(n, dtype=bool)
 
 
+#: The arrays a tree's descent reads: each node's value and the doubled
+#: slots (see the module docstring).
+_ARRAYS = ("value", "_slot_gf", "_slot_thr", "_slot_child", "_slot_live",
+           "_slot_value")
+
+
+def _layout(feature, threshold, left, right, value, ids) -> dict:
+    """The kernel arrays of one tree, or of many trees laid end to end.
+
+    ``ids`` is each node's id within its own tree: leaves self-loop (both
+    children point back at the leaf) with a ``+inf`` threshold, and the
+    doubled slots store children ``[right, left]`` so the branch index is
+    the ``<=`` result itself. Child ids stay local to their tree, so a
+    tree of a pool is a plain slice.
+    """
+    is_leaf = feature < 0
+    child = np.empty(2 * feature.shape[0], dtype=np.intp)
+    child[0::2] = 2 * np.where(is_leaf, ids, right)
+    child[1::2] = 2 * np.where(is_leaf, ids, left)
+    return dict(
+        value=value,
+        _slot_gf=np.repeat(np.where(is_leaf, 0, feature), 2),
+        _slot_thr=np.repeat(np.where(is_leaf, np.inf, threshold), 2),
+        _slot_child=child,
+        _slot_live=np.repeat(~is_leaf, 2),
+        _slot_value=np.repeat(value, 2),
+    )
+
+
 class CompiledTree:
     """Contiguous-array form of one fitted CART tree.
 
+    Built from per-node arrays (:func:`~repro.perf.compile_tree` reads them
+    off a tree's ``_nodes``); the members of a pool
+    (:func:`~repro.perf.compile_pool`) are views into the pool's arrays.
     ``predict`` takes a validated ``(n, d)`` float64 matrix — callers (the
     estimators' public ``predict``) own input checking.
     """
 
-    __slots__ = (
-        "feature", "gather_feature", "threshold", "left", "right", "value",
-        "is_leaf", "max_depth", "min_leaf_depth",
-        "_slot_gf", "_slot_thr", "_slot_child", "_slot_live", "_slot_value",
-        "_ws",
-    )
+    __slots__ = ("value", "max_depth", "min_leaf_depth", "_slot_gf",
+                 "_slot_thr", "_slot_child", "_slot_live", "_slot_value",
+                 "_ws", "_pool", "_pool_index")
 
-    def __init__(self, nodes) -> None:
-        n = len(nodes)
-        feature = np.fromiter((nd.feature for nd in nodes), dtype=np.intp, count=n)
-        threshold = np.fromiter((nd.threshold for nd in nodes), dtype=np.float64, count=n)
-        left = np.fromiter((nd.left for nd in nodes), dtype=np.intp, count=n)
-        right = np.fromiter((nd.right for nd in nodes), dtype=np.intp, count=n)
-        self.value = np.fromiter((nd.value for nd in nodes), dtype=np.float64, count=n)
-        self.is_leaf = feature < 0
-        ids = np.arange(n, dtype=np.intp)
-        self.feature = feature
-        self.gather_feature = np.where(self.is_leaf, 0, feature)
-        self.threshold = np.where(self.is_leaf, np.inf, threshold)
-        self.left = np.where(self.is_leaf, ids, left)
-        self.right = np.where(self.is_leaf, ids, right)
-        depths = _node_depths(feature, self.left, self.right)
-        self.max_depth = int(depths.max()) if n else 0
-        self.min_leaf_depth = int(depths[self.is_leaf].min()) if n else 0
+    def __init__(self, feature, threshold, left, right, value) -> None:
+        """``feature`` (-1 at leaves), ``threshold``, ``left``/``right``
+        (child node ids; ignored at leaves) and ``value`` per node, the root
+        first and every child after its parent."""
+        feature = np.asarray(feature, dtype=np.intp)
+        left = np.asarray(left, dtype=np.intp)
+        right = np.asarray(right, dtype=np.intp)
+        n = feature.shape[0]
+        arrays = _layout(feature, np.asarray(threshold, dtype=np.float64),
+                         left, right, np.asarray(value, dtype=np.float64),
+                         np.arange(n, dtype=np.intp))
+        depths = _node_depths(feature, left, right)
+        self._adopt(arrays, 0, n, int(depths.max()) if n else 0,
+                    int(depths[feature < 0].min()) if n else 0)
+        self._pool = None
+        self._pool_index = -1
 
-        # Doubled-slot kernel arrays (see module docstring). Children are
-        # stored [right, left] so the branch index is the <= result itself.
-        self._slot_gf = np.repeat(self.gather_feature, 2)
-        self._slot_thr = np.repeat(self.threshold, 2)
-        self._slot_live = np.repeat(~self.is_leaf, 2)
-        self._slot_value = np.repeat(self.value, 2)
-        child = np.empty(2 * n, dtype=np.intp)
-        child[0::2] = 2 * self.right
-        child[1::2] = 2 * self.left
-        self._slot_child = child
+    def _adopt(self, arrays: dict, a: int, b: int, max_depth: int,
+               min_leaf_depth: int) -> None:
+        """Take nodes ``[a, b)`` of ``arrays`` (a :func:`_layout`) as this
+        tree's, as views."""
+        self.value = arrays["value"][a:b]
+        for name in _ARRAYS[1:]:
+            setattr(self, name, arrays[name][2 * a:2 * b])
+        self.max_depth = max_depth
+        self.min_leaf_depth = min_leaf_depth
         self._ws: "dict[int, tuple[int, _Workspace]]" = {}
 
     @property

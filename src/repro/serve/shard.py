@@ -25,6 +25,7 @@ in-flight run finish, so downstream ndjson never ends mid-run.
 
 from __future__ import annotations
 
+import gc
 import time
 
 from ..errors import ValidationError
@@ -58,17 +59,21 @@ class QueueSink(Sink):
     def __init__(self, shard_id: int, events) -> None:
         self.shard_id = shard_id
         self.events = events
+        #: records put so far.
+        self.records = 0
 
     def write(self, chunk) -> None:
         self.events.put(
             ("chunk", self.shard_id, time.monotonic(), chunk_record(chunk))
         )
+        self.records += 1
 
     def end_run(self, node_id: str, workload: str, mode: str) -> None:
         self.events.put(
             ("end_run", self.shard_id, time.monotonic(),
              end_run_record(node_id, workload, mode))
         )
+        self.records += 1
 
 
 def _faulted_sensor(sensor, preset: str, index: int, config: ServeConfig):
@@ -89,6 +94,12 @@ def _faulted_sensor(sensor, preset: str, index: int, config: ServeConfig):
     )
 
 
+#: Longest a shard waits after a round for the daemon's collector to catch
+#: up (:meth:`ShardRunner.await_collector`), and how often it looks.
+BACKLOG_WAIT_S = 2.0
+BACKLOG_POLL_S = 0.002
+
+
 class ShardRunner:
     """One shard's service, fleet front-end, and tick loop.
 
@@ -106,9 +117,9 @@ class ShardRunner:
         self.rounds = 0
         spec = get_platform(config.platform)
         self.registry = MetricsRegistry()
+        self.sink = QueueSink(shard_id, events)
         self.service = PowerMonitorService(
-            model, spec, registry=self.registry,
-            sinks=[QueueSink(shard_id, events)],
+            model, spec, registry=self.registry, sinks=[self.sink],
         )
         if config.gpu_nodes and gpu is None:
             raise ValidationError(
@@ -199,8 +210,50 @@ class ShardRunner:
         while not stop.is_set() and (
             config.runs == 0 or self.rounds < config.runs
         ):
+            records = self.sink.records
             self.run_round()
+            if self.rounds == 1:
+                _freeze_long_lived()
             self.push_state()
+            self.await_collector(self.sink.records - records)
+
+    def await_collector(self, per_round: int) -> None:
+        """Backpressure: wait until the event queue holds at most one
+        round's records (``per_round``) per shard, or ``BACKLOG_WAIT_S``.
+
+        A shard that outruns the daemon's collector would otherwise pile
+        its records up in the queue without bound (a process queue keeps
+        them in the shard's own memory until the collector reads them), so
+        the shard stays at most about a round ahead. The queue's size
+        counts every shard's records, and those a killed shard put but
+        never sent stay counted, so the wait is capped. A queue that cannot
+        report its size (a process queue on macOS) is not waited on.
+        """
+        try:
+            backlog = self.events.qsize()
+        except (AttributeError, NotImplementedError):
+            return
+        limit = per_round * self.config.shards
+        deadline = time.monotonic() + BACKLOG_WAIT_S
+        while backlog > limit and time.monotonic() < deadline:
+            time.sleep(BACKLOG_POLL_S)
+            backlog = self.events.qsize()
+
+
+def _freeze_long_lived() -> None:
+    """Take what outlives a round out of the cyclic collector's scans.
+
+    After its first round a shard holds mostly long-lived objects: the
+    models, the bundles, the registry's families and children, compiled
+    trees. Each full collection would walk all of them again (tens of
+    thousands of objects) to find the few cycles a round leaves, so they
+    move to the permanent generation once, after a collection that frees
+    the first round's garbage. They are still freed by reference counting
+    when dropped. ``gc.freeze`` is process-wide: a thread-hosted shard
+    also freezes its host's objects (the daemon's and the other shards').
+    """
+    gc.collect()
+    gc.freeze()
 
 
 def run_worker(shard_id: int, config: ServeConfig, model, events,

@@ -9,11 +9,21 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core import HighRPM, HighRPMConfig
 from repro.core.active_learning import ReinforcementSampler, SamplePool
-from repro.core.highrpm import PROVENANCE_CONFIDENCE, MonitorResult
+from repro.core.highrpm import (
+    PROV_MEASURED,
+    PROV_MODEL_ONLY,
+    PROV_RESTORED,
+    PROVENANCE_CONFIDENCE,
+    MonitorResult,
+    provenance_from_readings,
+    provenance_stack,
+)
 from repro.errors import NotFittedError, ValidationError
 from repro.hardware import ARM_PLATFORM
 from repro.ml import mape
+from repro.monitor.scheduler import thin_readings
 from repro.sensors import IPMISensor
+from repro.sensors.base import SparseReadings
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +150,88 @@ class TestConfidence:
     def test_unknown_code_raises(self, provenance):
         with pytest.raises(ValidationError, match="provenance code"):
             _result(provenance).confidence()
+
+
+def reference_provenance(n, readings, interval_s=None, outage_factor=2.0):
+    """One run's provenance, sample by sample: measured at a reading,
+    restored within ``outage_factor * interval`` of the nearest reading,
+    model-only beyond."""
+    interval = readings.interval_s if interval_s is None else interval_s
+    idx = readings.indices.tolist()
+    out = np.empty(n, dtype=np.uint8)
+    for t in range(n):
+        nearest = min(abs(t - i) for i in idx)
+        out[t] = PROV_MEASURED if nearest == 0 else (
+            PROV_RESTORED if nearest <= outage_factor * int(interval)
+            else PROV_MODEL_ONLY)
+    return out
+
+
+@st.composite
+def provenance_runs(draw):
+    """Runs of different lengths: a single reading, readings at the trace
+    edges, sparse feeds with outage gaps, and governor-thinned feeds whose
+    interval scales with the stride."""
+    runs = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.integers(1, 150))
+        idx = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                  max_size=min(n, 20))))
+        if n > 1 and draw(st.booleans()):
+            idx = sorted({0, n - 1, *idx})
+        readings = SparseReadings(np.array(idx), np.ones(len(idx)),
+                                  draw(st.integers(1, 12)), n)
+        stride = draw(st.integers(1, 4))
+        if stride > 1:
+            readings, _ = thin_readings(readings, stride,
+                                        offset=draw(st.integers(0, 3)))
+        runs.append((n, readings, draw(st.sampled_from([1.0, 2.0, 2.5, 3]))))
+    return runs
+
+
+class TestProvenanceStack:
+    @settings(max_examples=150, deadline=None)
+    @given(provenance_runs())
+    def test_one_pass_equals_each_runs_own(self, runs):
+        stacked = provenance_stack([n for n, _, _ in runs],
+                                   [r for _, r, _ in runs],
+                                   [f for _, _, f in runs])
+        assert len(stacked) == len(runs)
+        for (n, readings, factor), got in zip(runs, stacked):
+            want = reference_provenance(n, readings, outage_factor=factor)
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, want)
+            alone = provenance_from_readings(n, readings, outage_factor=factor)
+            np.testing.assert_array_equal(alone, want)
+
+    def test_thinned_feed_reaches_further(self):
+        """The governor's thinning scales the nominal interval, so each
+        surviving reading anchors proportionally further."""
+        readings = SparseReadings(np.arange(0, 100, 10), np.ones(10), 10, 100)
+        thinned, dropped = thin_readings(readings, 3)
+        assert dropped and thinned.interval_s == 30
+        scaled, unscaled = provenance_stack([100, 100], [thinned, thinned],
+                                            [0.5, 0.5], intervals=[30, 10])
+        np.testing.assert_array_equal(
+            scaled, reference_provenance(100, thinned, outage_factor=0.5))
+        np.testing.assert_array_equal(
+            unscaled, reference_provenance(100, thinned, interval_s=10,
+                                           outage_factor=0.5))
+        assert (scaled == PROV_MODEL_ONLY).sum() < \
+            (unscaled == PROV_MODEL_ONLY).sum()
+
+    def test_span_and_interval_override(self):
+        readings = SparseReadings(np.array([0, 3, 40, 99]), np.ones(4), 5, 100)
+        whole = reference_provenance(100, readings, interval_s=2,
+                                     outage_factor=2.0)
+        for start, stop in [(0, 100), (0, 1), (37, 45), (99, 100), (50, 50)]:
+            np.testing.assert_array_equal(
+                provenance_from_readings(100, readings, interval_s=2,
+                                         start=start, stop=stop),
+                whole[start:stop])
+
+    def test_empty_pass(self):
+        assert provenance_stack([], [], []) == []
 
 
 class TestReinforcementSampler:

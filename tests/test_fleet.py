@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.dynamic_trr import run_fine_tunes
+from repro.core.highrpm import PROV_MODEL_ONLY, provenance_from_readings
 from repro.core.static_trr import StaticTRR, fit_streams, restore_streams
 from repro.errors import ConvergenceError, NotFittedError, ValidationError
 from repro.faults import FaultySensor, OutageWindow
@@ -800,6 +801,40 @@ class TestFleetMonitor:
         assert {stage.name: tuple(c.labels(stage=stage.name).value
                                   for c in counters)
                 for stage in stages} == self.STAGE_TOTALS[online, chunk_size]
+
+    def test_round_provenance_is_one_pass(self, chaos_reference, monkeypatch):
+        """The restore stage flags every run with readings in one
+        provenance pass, each run's flags its own pass's; model-only runs
+        (a dead feed) get none."""
+        _, bundle = chaos_reference
+        ids = ("fl-a", "fl-b", "fl-c", "fl-d")
+        svc, _ = _twin_services(chaos_reference, ids, dead=("fl-b",),
+                                outages={"fl-c": OutageWindow(40, 40)})
+        passes = []
+        real = pipeline_module.provenance_stack
+
+        def spy(ns, readings, factors):
+            passes.append(len(ns))
+            return real(ns, readings, factors)
+
+        monkeypatch.setattr(pipeline_module, "provenance_stack", spy)
+        contexts = [pipeline_module.ObservationContext(
+            svc, nid, bundle, online=nid == "fl-d", chunk_size=16)
+            for nid in ids]
+        assert pipeline_module.build_pipeline().open_all(contexts) == []
+        assert [ctx.mode for ctx in contexts] == \
+            ["static", "model_only", "static", "dynamic"]
+        assert passes == [3]
+        for ctx in contexts:
+            if ctx.mode == "model_only":
+                assert ctx.provenance_full is None
+                continue
+            np.testing.assert_array_equal(
+                ctx.provenance_full,
+                provenance_from_readings(
+                    ctx.n_samples, ctx.readings,
+                    outage_factor=ctx.model.config.resync_gap_factor))
+        assert (contexts[2].provenance_full == PROV_MODEL_ONLY).any()
 
     def test_static_tree_stack_is_reused_across_ticks(
         self, chaos_reference, monkeypatch

@@ -6,7 +6,7 @@ from scipy.interpolate import CubicSpline
 
 from repro.errors import NotFittedError, ValidationError
 from repro.interp import ARForecaster, CubicSplineInterpolator, LinearInterpolator
-from repro.interp.spline import fit_stack, predict_stack
+from repro.interp.spline import fit_predict_stack, fit_stack, predict_stack
 
 
 class TestCubicSpline:
@@ -122,13 +122,32 @@ class TestSplineStack:
         queries = [_queries(x, rng) for x, _ in knots]
         singles = [CubicSplineInterpolator().fit(x, y) for x, y in knots]
         batched = predict_stack(stacked, queries)
-        for single, spline, xq, out in zip(singles, stacked, queries, batched):
+        unkept = fit_predict_stack(knots, queries)
+        for single, spline, xq, out, values in zip(singles, stacked, queries,
+                                                   batched, unkept):
             assert spline.extrapolate == "linear"
             assert spline._m.tobytes() == single._m.tobytes()
             assert spline._coef.tobytes() == single._coef.tobytes()
             want = single.predict(xq)
             assert spline.predict(xq).tobytes() == want.tobytes()
             assert out.tobytes() == want.tobytes()
+            assert values.tobytes() == want.tobytes()
+
+    def test_many_short_sets_equal_single_fits_bitwise(self, rng):
+        """A round's fold splines: hundreds of 2-6-knot sets, so the
+        tridiagonal solve steps across the sets at once; some queries
+        fall outside their set's knots."""
+        knots = [self._knots(rng, n, shuffled=False)
+                 for n in rng.integers(2, 7, size=300)]
+        queries = [_queries(x, rng) for x, _ in knots]
+        for (x, y), spline, xq, values in zip(
+                knots, fit_stack(knots), queries,
+                fit_predict_stack(knots, queries)):
+            single = CubicSplineInterpolator().fit(x, y)
+            assert spline._coef.tobytes() == single._coef.tobytes()
+            assert values.tobytes() == single.predict(xq).tobytes()
+        with pytest.raises(ValidationError, match="query arrays"):
+            fit_predict_stack(knots[:2], queries[:1])
 
 
     def test_stack_matches_scipy(self, rng):

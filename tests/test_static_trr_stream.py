@@ -11,11 +11,18 @@ import numpy as np
 import pytest
 
 from repro.core import DynamicTRR, HighRPMConfig, StaticTRR
-from repro.core.static_trr import StaticTRRStream, fit_streams, restore_streams
+from repro.core.static_trr import (
+    RES_MODEL,
+    StaticTRRStream,
+    fit_streams,
+    restore_streams,
+)
 from repro.errors import ValidationError
 from repro.hardware import ARM_PLATFORM
 from repro.interp import CubicSplineInterpolator, LinearInterpolator
+from repro.ml import DecisionTreeRegressor
 from repro.sensors import IPMISensor
+from repro.sensors.base import SparseReadings
 
 
 @pytest.fixture()
@@ -35,6 +42,21 @@ def dyn(arm_sim, catalog):
     model.fit(bundles, p_bottom=ARM_PLATFORM.min_node_power_w,
               p_upper=ARM_PLATFORM.max_node_power_w)
     return model
+
+
+def _preorder(tree) -> list:
+    """A fitted tree's ``(feature, threshold, value)`` nodes in preorder."""
+    out = []
+
+    def walk(i):
+        node = tree._nodes[i]
+        out.append((node.feature, node.threshold, node.value))
+        if node.feature >= 0:
+            walk(node.left)
+            walk(node.right)
+
+    walk(0)
+    return out
 
 
 def _stream_restore(stream, pmcs, chunk_size):
@@ -148,6 +170,64 @@ class TestFitStreams:
             fit_streams([static_trr, StaticTRR()],
                         [pmcs[ipmi_readings.indices], pmcs[:3]],
                         [ipmi_readings, ipmi_readings])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pmc_rows_fail_the_check(self, static_trr, small_bundle,
+                                                 ipmi_readings, bad):
+        rows = small_bundle.pmcs.matrix[ipmi_readings.indices].copy()
+        rows[2, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            static_trr.check_stream(rows, ipmi_readings)
+        with pytest.raises(ValidationError, match="finite"):
+            fit_streams([static_trr], [rows], [ipmi_readings])
+
+    def test_serve_wide_shaped_pass_equals_per_run_factory_fits(self):
+        """512 runs of 4-5 readings over 60 samples, 10- and 16-wide PMCs
+        (the serve-wide round), plus a few long runs whose trees split:
+        each stacked stream restores exactly as a stream whose ResModel
+        was fitted on its own through an explicit factory (not the stack
+        of one). Trees, stacks and restores are compared per run."""
+        rng = np.random.default_rng(24)
+        config = HighRPMConfig(miss_interval=10)
+        bounds = dict(p_upper=ARM_PLATFORM.max_node_power_w,
+                      p_bottom=ARM_PLATFORM.min_node_power_w)
+        runs = []
+        for k in range(520):
+            n = 60 if k < 512 else 600
+            width = 16 if k % 8 == 7 else 10
+            if k < 512:
+                idx = np.sort(rng.choice(np.arange(3, n), size=4 + k % 2,
+                                         replace=False))
+            else:
+                idx = np.arange(3, n, 10)
+            pmcs = rng.gamma(2.0, 1e3, size=(n, width))
+            values = rng.uniform(40.0, 90.0, size=idx.shape[0])
+            runs.append((pmcs, SparseReadings(idx, values, 10, n)))
+        stacked = fit_streams([StaticTRR(config, **bounds) for _ in runs],
+                              [pmcs[r.indices] for pmcs, r in runs],
+                              [r for _, r in runs])
+        own = []
+        for pmcs, r in runs:
+            trr = StaticTRR(config, res_model_factory=lambda: (
+                DecisionTreeRegressor(**RES_MODEL)), **bounds)
+            own.append(trr.fit_stream(pmcs[r.indices], r))
+        assert {len(s._trr.res_model_._nodes) for s in stacked[:512]} == {1}
+        assert min(len(s._trr.res_model_._nodes) for s in stacked[512:]) > 1
+        for stream, alone in zip(stacked, own):
+            assert _preorder(stream._trr.res_model_) == \
+                _preorder(alone._trr.res_model_)
+        # One tick over every run at once, as the fleet restores them.
+        parts = restore_streams(stacked, [pmcs for pmcs, _ in runs],
+                                [True] * len(runs))
+        for (_, values), alone, (pmcs, _) in zip(parts, own, runs):
+            np.testing.assert_array_equal(values, _stream_restore(alone, pmcs, 64))
+        # one stack per PMC width, reading the width's fitted pool
+        for width in (10, 16):
+            streams = [s for s, (pmcs, _) in zip(stacked, runs)
+                       if pmcs.shape[1] == width]
+            assert len({id(s._tree_stack) for s in streams}) == 1
+            pool = streams[0]._tree._pool
+            assert streams[0]._tree_stack._slot_gf is pool.arrays["_slot_gf"]
 
 
 class TestRestoreStreams:
