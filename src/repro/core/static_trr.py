@@ -15,12 +15,13 @@ Pipeline:
 3. **Post-processing** — Algorithm 1 fuses the two estimates using the
    physical power limits and the α/β agreement thresholds.
 
-Many runs fit as one (:func:`fit_streams`, the fleet's round open; a
-single run is the stack of one): trend and fold splines as spline stacks,
-and every default ResModel in one level-synchronous tree pass per PMC
-width (:func:`~repro.ml.tree.fit_trees`), written straight into the
-compiled pool the runs' chunks are then restored through. Each run is
-bitwise what it would be fitted alone.
+Many runs fit as one (:func:`fit_streams`, or :func:`fit_checked_streams`
+for runs already checked, as in the fleet's round open; a single run is
+the stack of one): trend and fold splines as spline stacks, and every
+default ResModel in one level-synchronous tree pass per PMC width
+(:func:`~repro.ml.tree.fit_trees`), written straight into the compiled
+pool the runs' chunks are then restored through. Each run is bitwise
+what it would be fitted alone.
 
 Faithfulness note: Operation 1 in the paper's Algorithm 1 triggers on
 ``P_splined[i] ≥ 30 % · (P_upper − P_bottom)``, which for any loaded node is
@@ -255,7 +256,17 @@ def fit_streams(trrs, pmcs_rows, readings) -> "list[StaticTRRStream]":
     """
     rows = [trr.check_stream(p, r)
             for trr, p, r in zip(trrs, pmcs_rows, readings)]
-    _fit_all(trrs, rows, readings)
+    return fit_checked_streams(trrs, rows, readings)
+
+
+def fit_checked_streams(trrs, pmcs_rows, readings
+                        ) -> "list[StaticTRRStream]":
+    """:func:`fit_streams` for runs whose inputs already passed
+    :meth:`StaticTRR.check_stream`: ``pmcs_rows`` are the 2-D arrays it
+    returned. The caller that checks each run on its own first (the
+    fleet's round open, so a malformed run is lost alone) fits the runs
+    that passed here, and nothing is checked twice."""
+    _fit_all(trrs, pmcs_rows, readings)
     return [StaticTRRStream(trr, r) for trr, r in zip(trrs, readings)]
 
 

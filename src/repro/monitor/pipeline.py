@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core.dynamic_trr import run_fine_tunes
 from ..core.highrpm import PROV_MODEL_ONLY, provenance_stack
-from ..core.static_trr import fit_streams, restore_streams
+from ..core.static_trr import fit_checked_streams, restore_streams
 from ..errors import SensorError, ValidationError
 from ..obs import current_tracer
 from ..sensors.base import SparseReadings
@@ -267,14 +267,14 @@ class RestoreStage(Stage):
 
     def open_all(self, contexts, lost: list) -> None:
         """Open a round's restorers: every static run's StaticTRR fits in
-        one :func:`~repro.core.static_trr.fit_streams` stack, each dynamic
-        and model-only run gets its own online session, and every run with
-        readings gets its whole trace's provenance in one
+        one :func:`~repro.core.static_trr.fit_checked_streams` stack, each
+        dynamic and model-only run gets its own online session, and every
+        run with readings gets its whole trace's provenance in one
         :func:`~repro.core.highrpm.provenance_stack` pass.
 
-        Each static run's inputs are checked on their own first
-        (:meth:`~repro.core.StaticTRR.check_stream`), so a malformed run is
-        lost alone; if the provenance pass or the stacked fit itself
+        Each static run's inputs are checked on their own first, and only
+        here (:meth:`~repro.core.StaticTRR.check_stream`), so a malformed
+        run is lost alone; if the provenance pass or the stacked fit itself
         raises, every run it carried is lost to it."""
         static = []  # (ctx, unfitted StaticTRR, PMC rows at the readings)
         anchored = []  # runs whose provenance follows their readings
@@ -310,9 +310,11 @@ class RestoreStage(Stage):
         if not static:
             return
         try:
-            streams = fit_streams([trr for _, trr, _ in static],
-                                  [rows for _, _, rows in static],
-                                  [ctx.readings for ctx, _, _ in static])
+            streams = fit_checked_streams(
+                [trr for _, trr, _ in static],
+                [rows for _, _, rows in static],
+                [ctx.readings for ctx, _, _ in static],
+            )
         except Exception as exc:  # the stack's runs are lost together
             lost.extend((ctx, exc) for ctx, _, _ in static)
             return

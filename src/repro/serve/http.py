@@ -81,7 +81,7 @@ class ServeHandler(BaseHTTPRequestHandler):
                 line = q.get()
                 if line is None:  # daemon drained: clean end of stream
                     break
-                self.wfile.write(line.encode("utf-8") + b"\n")
+                self.wfile.write(line + b"\n")
                 self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; nothing to clean up but the sub

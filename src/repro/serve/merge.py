@@ -1,22 +1,24 @@
 """Merge side of the daemon: event collector and the /stream hub.
 
 One :class:`EventCollector` thread drains the shard event queue and fans
-everything out: stream records go to the :class:`StreamHub` (live
-``/stream`` clients) and the optional ndjson file, registry snapshots and
-health states are kept per shard for ``/metrics`` and ``/healthz``, and
-each event's queue transit time lands in the
-``repro_serve_merge_latency_seconds`` histogram — the merge-sink latency
-perfbench reports as ``serve.merge_latency_ms_mean``.
+everything out: each stream record is encoded once, by the compiled
+:func:`repro.stream.encode_record`, and the same bytes go to the
+:class:`StreamHub` (live ``/stream`` clients) and the optional ndjson
+file; registry snapshots and health states are kept per shard for
+``/metrics`` and ``/healthz``, and each event's queue transit time lands
+in the ``repro_serve_merge_latency_seconds`` histogram — the merge-sink
+latency perfbench reports as ``serve.merge_latency_ms_mean``.
 """
 
 from __future__ import annotations
 
-import json
 import queue
 import threading
 import time
 from collections import deque
 from pathlib import Path
+
+from ..stream import encode_record
 
 #: Merge-sink latency buckets: queue transit is sub-millisecond in-process
 #: and single-digit milliseconds across a loaded multiprocessing queue.
@@ -34,19 +36,15 @@ STREAM_QUEUE_DEPTH = 4096
 REPLAY_DEPTH = 1024
 
 
-def encode_record(record: dict) -> str:
-    """The compact ndjson line of one stream record."""
-    return json.dumps(record, separators=(",", ":"))
-
-
 class StreamHub:
     """Broadcasts ndjson lines to every connected ``/stream`` client.
 
-    Subscribers get a bounded queue of encoded lines; ``None`` is the
-    end-of-stream sentinel (daemon drained). A late subscriber first
-    receives the last :data:`REPLAY_DEPTH` records, so scraping after the
-    fleet already ticked still yields a coherent tail. Publishing never
-    blocks: a full client queue drops the record and bumps
+    Subscribers get a bounded queue of encoded lines (bytes without the
+    newline); ``None`` is the end-of-stream sentinel (daemon drained). A
+    late subscriber first receives the last :data:`REPLAY_DEPTH` records,
+    so scraping after the fleet already ticked still yields a coherent
+    tail. Publishing never blocks: a full client queue drops the record
+    and bumps
     ``repro_serve_stream_dropped_total``.
     """
 
@@ -54,7 +52,7 @@ class StreamHub:
         self._registry = registry
         self._lock = threading.Lock()
         self._subscribers: "list[queue.Queue]" = []
-        self._replay: "deque[str]" = deque(maxlen=replay_depth)
+        self._replay: "deque[bytes]" = deque(maxlen=replay_depth)
         self._closed = False
 
     def subscribe(self) -> "queue.Queue":
@@ -82,7 +80,7 @@ class StreamHub:
             "repro_serve_stream_clients", "Connected /stream clients."
         ).set(float(n))
 
-    def publish(self, line: str) -> None:
+    def publish(self, line: bytes) -> None:
         """Broadcast one encoded ndjson line (no trailing newline)."""
         with self._lock:
             self._replay.append(line)
@@ -181,12 +179,12 @@ class EventCollector:
         elif kind == "done":
             self.done.add(event[1])
 
-    def _persist(self, line: str) -> None:
+    def _persist(self, line: bytes) -> None:
         if self.ndjson is None:
             return
         if self._fh is None:
-            self._fh = Path(self.ndjson).open("a", encoding="utf-8")
-        self._fh.write(line + "\n")
+            self._fh = Path(self.ndjson).open("ab")
+        self._fh.write(line + b"\n")
         self._fh.flush()
 
     def _finalize(self) -> None:

@@ -51,9 +51,12 @@ from .config import ServeConfig
 class QueueSink(Sink):
     """Stream every finished chunk / run boundary onto the event queue.
 
-    Records are the :func:`~repro.stream.chunk_record` wire shape — the
-    exact lines a :class:`~repro.stream.JsonlSink` would write — so the
-    daemon's ``/stream`` endpoint and ndjson file need no re-encoding.
+    Records are the :func:`~repro.stream.chunk_record` wire shape, still
+    unencoded: they cross the queue as dicts of Python float lists (which
+    pickle several times faster than numpy arrays), and the daemon's
+    collector encodes each once with :func:`~repro.stream.encode_record`
+    — the exact line a :class:`~repro.stream.JsonlSink` would write — for
+    both its ``/stream`` clients and its ndjson file.
     """
 
     def __init__(self, shard_id: int, events) -> None:

@@ -7,7 +7,14 @@ replayed logs) can reuse them.
 """
 
 from .chunks import PowerChunk, chunk_spans
-from .sinks import JsonlSink, Sink, chunk_record, end_run_record, iter_jsonl
+from .sinks import (
+    JsonlSink,
+    Sink,
+    chunk_record,
+    encode_record,
+    end_run_record,
+    iter_jsonl,
+)
 from .stages import RunContext, Stage, StreamPipeline
 
 __all__ = [
@@ -20,5 +27,6 @@ __all__ = [
     "JsonlSink",
     "iter_jsonl",
     "chunk_record",
+    "encode_record",
     "end_run_record",
 ]

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import orjson
+
 from .chunks import PowerChunk
 
 
@@ -20,8 +22,11 @@ def chunk_record(chunk: PowerChunk) -> dict:
     """The canonical JSON-safe record for one finished chunk.
 
     This is the wire shape shared by :class:`JsonlSink` files and the
-    service daemon's ``/stream`` ndjson endpoint — float lists round-trip
-    ``float64`` bitwise through ``repr``-based JSON encoding.
+    service daemon's ``/stream`` ndjson endpoint, both written by
+    :func:`encode_record`. The arrays travel as Python float lists, each
+    finite ``float64`` printed in shortest round-trip form, so it reads
+    back bitwise; a non-finite value (NaN, ±inf) is written as JSON
+    ``null``.
     """
     return {
         "event": "chunk",
@@ -52,6 +57,20 @@ def end_run_record(node_id: str, workload: str, mode: str) -> dict:
     }
 
 
+def encode_record(record: dict) -> bytes:
+    """The compact ndjson line of one stream record, without the newline.
+
+    The one encoder of the wire shape (:class:`JsonlSink`, the daemon's
+    collector, ``/stream``). It is :func:`json.dumps` with
+    ``separators=(",", ":")`` byte for byte on strings of ASCII characters
+    other than DEL, 64-bit integers, and floats with ``1e-4 <= |x| < 1e16``
+    or ``±0.0``. Outside that range a float is spelled differently
+    (``0.00001``, ``1e16``) but still round-trips bitwise, and a
+    non-finite float is ``null`` rather than the non-standard ``NaN``.
+    """
+    return orjson.dumps(record)
+
+
 class Sink:
     """Receives fully-processed chunks from the pipeline's sink stage."""
 
@@ -80,9 +99,10 @@ class JsonlSink(Sink):
          "stop": ..., "seq": ..., "mode": ..., "p_node": [...],
          "p_cpu": [...], "p_mem": [...], "provenance": [...]}
 
-    Run boundaries are ``{"event": "end_run", ...}`` records. The file is
-    opened lazily on the first write and flushed per record, so a tail of
-    the file is always parseable.
+    Run boundaries are ``{"event": "end_run", ...}`` records. Each line is
+    :func:`encode_record`'s, byte for byte the daemon's ``/stream`` line
+    for the same record. The file is opened lazily on the first write and
+    flushed per record, so a tail of the file is always parseable.
     """
 
     def __init__(self, path) -> None:
@@ -91,12 +111,12 @@ class JsonlSink(Sink):
 
     def _handle(self):
         if self._fh is None:
-            self._fh = self.path.open("a", encoding="utf-8")
+            self._fh = self.path.open("ab")
         return self._fh
 
     def _emit(self, record: dict) -> None:
         fh = self._handle()
-        fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        fh.write(encode_record(record) + b"\n")
         fh.flush()
 
     def write(self, chunk: PowerChunk) -> None:

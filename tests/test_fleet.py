@@ -14,7 +14,11 @@ import pytest
 
 from repro.core.dynamic_trr import run_fine_tunes
 from repro.core.highrpm import PROV_MODEL_ONLY, provenance_from_readings
-from repro.core.static_trr import StaticTRR, fit_streams, restore_streams
+from repro.core.static_trr import (
+    StaticTRR,
+    fit_checked_streams,
+    restore_streams,
+)
 from repro.errors import ConvergenceError, NotFittedError, ValidationError
 from repro.faults import FaultySensor, OutageWindow
 from repro.gpu import AcceleratedNodeSimulator, gpu_workload
@@ -236,14 +240,14 @@ class TestFleetMonitor:
 
         def fit_spy(trrs, pmcs_rows, readings):
             opens.append(sorted(len(r) for r in readings))
-            return fit_streams(trrs, pmcs_rows, readings)
+            return fit_checked_streams(trrs, pmcs_rows, readings)
 
         def restore_spy(streams, pmc_chunks, finals, residual_hats=None):
             positions.append({s.samples_fed for s in streams})
             return restore_streams(streams, pmc_chunks, finals, residual_hats)
 
         monkeypatch.setattr(pipeline_module, "run_fine_tunes", spy)
-        monkeypatch.setattr(pipeline_module, "fit_streams", fit_spy)
+        monkeypatch.setattr(pipeline_module, "fit_checked_streams", fit_spy)
         monkeypatch.setattr(pipeline_module, "restore_streams", restore_spy)
         # The governor thins the feeds from the second round on.
         n_rounds = 2 if hetero else 1
@@ -591,11 +595,11 @@ class TestFleetMonitor:
 
         def fit_spy(trrs, pmcs_rows, readings):
             stacked.append(len(trrs))
-            return fit_streams(trrs, pmcs_rows, readings)
+            return fit_checked_streams(trrs, pmcs_rows, readings)
 
         monkeypatch.setattr(GateStage, "open_run", gate)
         monkeypatch.setattr(StaticTRR, "_limits", invalid_for_b)
-        monkeypatch.setattr(pipeline_module, "fit_streams", fit_spy)
+        monkeypatch.setattr(pipeline_module, "fit_checked_streams", fit_spy)
         fleet = FleetMonitor(svc, chunk_size=16)
         with pytest.raises(ValidationError, match="limits for fl-b"):
             fleet.submit_all({nid: bundle for nid in node_ids}, online=False)
@@ -627,7 +631,7 @@ class TestFleetMonitor:
             stacked.append(len(trrs))
             raise RuntimeError("stacked fit broke")
 
-        monkeypatch.setattr(pipeline_module, "fit_streams", broken_fit)
+        monkeypatch.setattr(pipeline_module, "fit_checked_streams", broken_fit)
         fleet = FleetMonitor(svc, chunk_size=16)
         with pytest.raises(RuntimeError, match="stacked fit broke"):
             fleet.submit_all({nid: bundle for nid in node_ids}, online=False)
@@ -835,6 +839,31 @@ class TestFleetMonitor:
                     ctx.n_samples, ctx.readings,
                     outage_factor=ctx.model.config.resync_gap_factor))
         assert (contexts[2].provenance_full == PROV_MODEL_ONLY).any()
+
+    def test_round_checks_each_static_run_once(
+        self, chaos_reference, monkeypatch
+    ):
+        """A round of N static runs checks each run's StaticTRR inputs once,
+        before the stacked fit, which does not check them again."""
+        _, bundle = chaos_reference
+        ids = ("fl-a", "fl-b", "fl-c", "fl-d")
+        svc, _ = _twin_services(chaos_reference, ids)
+        checked = []
+        real = StaticTRR.check_stream
+
+        def spy(trr, pmcs_rows, readings):
+            checked.append(readings)
+            return real(trr, pmcs_rows, readings)
+
+        monkeypatch.setattr(StaticTRR, "check_stream", spy)
+        contexts = [pipeline_module.ObservationContext(
+            svc, nid, bundle, online=False, chunk_size=16) for nid in ids]
+        assert pipeline_module.build_pipeline().open_all(contexts) == []
+        assert [ctx.mode for ctx in contexts] == ["static"] * len(ids)
+        assert len(checked) == len(ids)
+        for ctx, readings in zip(contexts, checked):
+            assert readings is ctx.readings
+            assert ctx.restorer is not None
 
     def test_static_tree_stack_is_reused_across_ticks(
         self, chaos_reference, monkeypatch

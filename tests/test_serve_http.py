@@ -24,8 +24,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.obs import MetricsRegistry, parse_prometheus
 from repro.serve import FleetDaemon, ServeConfig, merge
-from repro.serve.merge import encode_record
-from repro.stream import iter_jsonl
+from repro.stream import encode_record, iter_jsonl
 
 FAULT_NODE = "node3"
 
@@ -172,7 +171,7 @@ def test_collector_encodes_each_record_once(tmp_path, monkeypatch):
     published = [client.get_nowait() for _ in records]
     assert client.get_nowait() is None  # end of stream
     assert published == [encode_record(r) for r in records]
-    assert ndjson.read_text().splitlines() == published
+    assert ndjson.read_bytes().splitlines() == published
 
 
 def test_unknown_endpoint_is_404(daemon):

@@ -4,21 +4,58 @@ The monitor pipeline and the fleet front-end are built on these pieces;
 here they are exercised in isolation with toy stages.
 """
 
+import json
+import queue
+import struct
+import time
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.monitor import MemoryLogSink, MonitorLog
 from repro.obs import MetricsRegistry, Tracer, use_registry, use_tracer
+from repro.serve import merge
 from repro.stream import (
     JsonlSink,
     PowerChunk,
     RunContext,
     Stage,
     StreamPipeline,
+    chunk_record,
     chunk_spans,
+    encode_record,
+    end_run_record,
     iter_jsonl,
 )
+
+#: Values on which the wire encoder writes what ``json.dumps`` writes:
+#: ASCII strings without DEL, 64-bit ints, floats in ``[1e-4, 1e16)`` by
+#: magnitude and the two zeros.
+_SAME_AS_JSON = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(),
+        st.text(st.characters(min_codepoint=0, max_codepoint=126)),
+        st.integers(-(2 ** 63), 2 ** 63 - 1),
+        st.floats(1e-4, 1e16, exclude_max=True),
+        st.floats(-1e16, -1e-4, exclude_min=True),
+        st.sampled_from([0.0, -0.0]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=8),
+        st.dictionaries(
+            st.text(st.characters(min_codepoint=0, max_codepoint=126)),
+            inner, max_size=8,
+        ),
+    ),
+    max_leaves=40,
+)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
 
 
 class TestChunkSpans:
@@ -298,6 +335,62 @@ class TestJsonlSink:
         with JsonlSink(path) as sink:
             sink.write(self._chunk(2, 4, 1))
         assert len(list(iter_jsonl(path))) == 2
+
+    @given(_SAME_AS_JSON)
+    def test_encoder_writes_what_json_dumps_writes(self, value):
+        record = {"event": "chunk", "value": value}
+        assert encode_record(record) \
+            == json.dumps(record, separators=(",", ":")).encode()
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(5e-324)  # the smallest subnormal
+    @example(2.2250738585072009e-308)  # the largest subnormal
+    @example(2.2250738585072014e-308)  # the smallest normal
+    @example(1e-05)
+    @example(1e16)
+    @example(-0.0)
+    @example(1.7976931348623157e308)
+    def test_every_finite_float_round_trips_bitwise(self, x):
+        back = json.loads(encode_record({"p_node": [x]}))["p_node"][0]
+        assert _bits(back) == _bits(x)
+
+    def test_non_finite_values_encode_as_null(self, tmp_path):
+        chunk = self._chunk(0, 4, 0)
+        chunk.p_node = np.array([1.5, np.nan, np.inf, -np.inf])
+        record = chunk_record(chunk)
+        assert b'"p_node":[1.5,null,null,null]' in encode_record(record)
+        path = tmp_path / "log.jsonl"
+        with JsonlSink(path) as sink:
+            sink.write(chunk)
+        (back,) = iter_jsonl(path)
+        assert back["p_node"] == [1.5, None, None, None]
+
+    def test_sink_line_is_the_collector_line(self, tmp_path):
+        chunks = [self._chunk(0, 4, 0), self._chunk(4, 6, 1)]
+        chunks[1].p_node = np.array([0.1, 1 / 3])
+        chunks[1].p_gpu = np.array([1e-05, 2.5e16])
+        sink_path = tmp_path / "sink.jsonl"
+        with JsonlSink(sink_path) as sink:
+            for chunk in chunks:
+                sink.write(chunk)
+            sink.end_run("n0", "fft", "dynamic")
+        registry = MetricsRegistry()
+        hub = merge.StreamHub(registry)
+        client = hub.subscribe()
+        daemon_path = tmp_path / "daemon.jsonl"
+        collector = merge.EventCollector(registry, hub, n_shards=1,
+                                         ndjson=str(daemon_path))
+        events = queue.SimpleQueue()
+        for chunk in chunks:
+            events.put(("chunk", 0, time.monotonic(), chunk_record(chunk)))
+        events.put(("end_run", 0, time.monotonic(),
+                    end_run_record("n0", "fft", "dynamic")))
+        events.put(("done", 0, time.monotonic()))
+        collector.run(events)
+        lines = sink_path.read_bytes().splitlines()
+        assert len(lines) == 3
+        assert daemon_path.read_bytes().splitlines() == lines
+        assert [client.get_nowait() for _ in lines] == lines
 
 
 def _restored(node_id, workload, start, values, mode="dynamic"):
