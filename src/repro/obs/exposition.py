@@ -11,6 +11,15 @@ populated registry (the round-trip test in ``tests/test_obs_metrics.py``).
 
 Floats are rendered with ``repr``, whose shortest-round-trip guarantee is
 what makes the equality above exact rather than approximate.
+
+The renderer is the daemon's ``/metrics`` body, built on every scrape
+while the HTTP handler holds the interpreter, so its per-sample work is
+kept small: a label value is escaped only when it holds a backslash, a
+quote or a newline; each sample's label text is built once, and its
+histogram buckets splice ``le`` into it; each bucket bound's ``le`` text
+is formatted once per family; integers skip the float formatting. Nothing
+is cached across calls. ``tests/exposition_oracle.py`` keeps the plain
+renderer this replaced, and the text must match it byte for byte.
 """
 
 from __future__ import annotations
@@ -22,7 +31,10 @@ from .metrics import MetricsRegistry
 
 
 def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    if "\\" in value or '"' in value or "\n" in value:
+        return value.replace("\\", "\\\\").replace('"', '\\"') \
+                    .replace("\n", "\\n")
+    return value
 
 
 def _unescape_label(value: str) -> str:
@@ -34,15 +46,17 @@ def _escape_help(text: str) -> str:
 
 
 def _fmt_value(value: float) -> str:
+    if type(value) is int and -1e15 < value < 1e15:
+        return str(value)
     value = float(value)
+    if value.is_integer():  # finite and integral
+        return str(int(value)) if abs(value) < 1e15 else repr(value)
     if value != value:  # NaN
         return "NaN"
     if value == float("inf"):
         return "+Inf"
     if value == float("-inf"):
         return "-Inf"
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
     return repr(value)
 
 
@@ -57,35 +71,47 @@ def _parse_value(text: str) -> float:
 def _labels_text(labels: "dict[str, str]") -> str:
     if not labels:
         return ""
-    inner = ",".join(f'{k}="{_escape_label(v)}"' for k, v in labels.items())
-    return "{" + inner + "}"
+    return "{" + ",".join([f'{k}="{_escape_label(v)}"'
+                           for k, v in labels.items()]) + "}"
+
+
+def _render_histogram(lines: "list[str]", name: str, family: dict) -> None:
+    append = lines.append
+    le_texts: "dict[float, str]" = {}  # bound -> its le text, per family
+    for sample in family["samples"]:
+        labels = sample["labels"]
+        text = _labels_text(labels)
+        # ``le="..."`` goes last, after the sample's own labels; a label
+        # already named ``le`` is overwritten where it stands instead.
+        head = None if "le" in labels else (text[:-1] + "," if text else "{")
+        for le, count in sample["buckets"]:
+            le_text = le_texts.get(le)
+            if le_text is None:
+                le_text = le_texts[le] = _fmt_value(le)
+            if head is None:
+                append(f"{name}_bucket"
+                       f"{_labels_text({**labels, 'le': le_text})} {int(count)}")
+            else:
+                append(f'{name}_bucket{head}le="{le_text}"}} {int(count)}')
+        append(f"{name}_sum{text} {_fmt_value(sample['sum'])}")
+        append(f"{name}_count{text} {int(sample['count'])}")
 
 
 def render_prometheus(source: "MetricsRegistry | dict") -> str:
     """Text exposition of a registry or of a ``registry.snapshot()`` dict."""
     snapshot = source.snapshot() if isinstance(source, MetricsRegistry) else source
     lines: "list[str]" = []
+    append = lines.append
     for name in sorted(snapshot):
         family = snapshot[name]
-        lines.append(f"# HELP {name} {_escape_help(family.get('help', ''))}")
-        lines.append(f"# TYPE {name} {family['type']}")
+        append(f"# HELP {name} {_escape_help(family.get('help', ''))}")
+        append(f"# TYPE {name} {family['type']}")
+        if family["type"] == "histogram":
+            _render_histogram(lines, name, family)
+            continue
         for sample in family["samples"]:
-            labels = dict(sample["labels"])
-            if family["type"] == "histogram":
-                for le, count in sample["buckets"]:
-                    le_text = "+Inf" if le == float("inf") else _fmt_value(le)
-                    bucket_labels = {**labels, "le": le_text}
-                    lines.append(
-                        f"{name}_bucket{_labels_text(bucket_labels)} {int(count)}"
-                    )
-                lines.append(f"{name}_sum{_labels_text(labels)} "
-                             f"{_fmt_value(sample['sum'])}")
-                lines.append(f"{name}_count{_labels_text(labels)} "
-                             f"{int(sample['count'])}")
-            else:
-                lines.append(
-                    f"{name}{_labels_text(labels)} {_fmt_value(sample['value'])}"
-                )
+            append(f"{name}{_labels_text(sample['labels'])} "
+                   f"{_fmt_value(sample['value'])}")
     return "\n".join(lines) + "\n"
 
 

@@ -30,6 +30,14 @@ Pass ``labels`` to tag every sample of the i-th snapshot with extra
 label pairs (e.g. ``{"shard": "s0"}``) *before* merging — collisions then
 only happen within one snapshot, which turns the merged exposition into a
 per-shard view instead of a fleet-total view.
+
+The merge runs on every ``/metrics`` scrape of the daemon, once per
+sample of every shard, so it does the least per sample: each snapshot's
+extra labels are converted to ``str`` once, each family's slot map is
+looked up once, and each sample is copied once. The merged samples are
+copies, so a collision never writes into a caller's snapshot.
+``tests/exposition_oracle.py`` keeps the merge this replaced, and the
+merged dicts must equal its own.
 """
 
 from __future__ import annotations
@@ -40,20 +48,6 @@ from ..errors import ValidationError
 
 #: Valid gauge-collision policies.
 GAUGE_POLICIES = ("last", "sum", "max")
-
-
-def _labelled(sample: dict, extra: "dict[str, str] | None") -> dict:
-    if not extra:
-        return dict(sample)
-    out = dict(sample)
-    out["labels"] = {**sample.get("labels", {}), **{
-        str(k): str(v) for k, v in extra.items()
-    }}
-    return out
-
-
-def _label_key(sample: dict) -> tuple:
-    return tuple(sorted((k, v) for k, v in sample.get("labels", {}).items()))
 
 
 def _merge_histogram(name: str, into: dict, sample: dict) -> None:
@@ -107,10 +101,11 @@ def merge_snapshots(
             f"{len(snapshots)} snapshots"
         )
     merged: "dict[str, dict]" = {}
-    slots: "dict[str, dict[tuple, dict]]" = {}
+    slots: "dict[str, dict[frozenset, dict]]" = {}
     for i, snapshot in enumerate(snapshots):
-        extra = labels[i] if labels is not None else None
-        extra_names = list(extra) if extra else []
+        given = labels[i] if labels is not None else None
+        extra_names = list(given) if given else []
+        extra = {str(k): str(v) for k, v in given.items()} if given else None
         for name in snapshot:
             family = snapshot[name]
             kind = family.get("type", "untyped")
@@ -123,7 +118,7 @@ def merge_snapshots(
                     "label_names": label_names,
                     "samples": [],
                 }
-                slots[name] = {}
+                family_slots = slots[name] = {}
             else:
                 if have["type"] != kind:
                     raise ValidationError(
@@ -137,13 +132,20 @@ def merge_snapshots(
                     )
                 if not have["help"]:
                     have["help"] = family.get("help", "")
+                family_slots = slots[name]
+            merged_samples = have["samples"]
             for sample in family.get("samples", []):
-                sample = _labelled(sample, extra)
-                key = _label_key(sample)
-                slot = slots[name].get(key)
+                # a copy, so that a collision below never writes into the
+                # caller's snapshot; its labels dict is shared unless extra
+                # labels make a new one
+                sample = dict(sample)
+                if extra:
+                    sample["labels"] = {**sample.get("labels", {}), **extra}
+                key = frozenset(sample.get("labels", {}).items())
+                slot = family_slots.get(key)
                 if slot is None:
-                    slots[name][key] = sample
-                    have["samples"].append(sample)
+                    family_slots[key] = sample
+                    merged_samples.append(sample)
                 else:
                     _merge_value(kind, name, slot, sample, gauges)
     return merged

@@ -41,7 +41,7 @@ from ..workloads.catalog import default_catalog
 from .config import ServeConfig
 from .http import ServeHTTPServer
 from .merge import EventCollector, StreamHub
-from .shard import run_worker
+from .shard import freeze_long_lived, run_worker
 
 #: Fixed training mix for daemon-trained models (compute-bound, memory-
 #: bound, and mixed workloads — the same spread ``repro monitor`` uses).
@@ -207,6 +207,9 @@ class FleetDaemon:
         # collector that consumes them, then the scrape surface.
         for worker in self._workers:
             worker.start()
+        # The models and the boot heap outlive every scrape: keep full
+        # collections from walking them while the HTTP handler waits.
+        freeze_long_lived()
         self._collector_thread = threading.Thread(
             target=self.collector.run, args=(events,),
             daemon=True, name="repro-serve-collector",

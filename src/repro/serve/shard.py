@@ -216,7 +216,7 @@ class ShardRunner:
             records = self.sink.records
             self.run_round()
             if self.rounds == 1:
-                _freeze_long_lived()
+                freeze_long_lived()
             self.push_state()
             self.await_collector(self.sink.records - records)
 
@@ -243,17 +243,25 @@ class ShardRunner:
             backlog = self.events.qsize()
 
 
-def _freeze_long_lived() -> None:
-    """Take what outlives a round out of the cyclic collector's scans.
+def freeze_long_lived() -> None:
+    """Take what outlives a round or a scrape out of the cyclic collector's
+    scans.
 
-    After its first round a shard holds mostly long-lived objects: the
-    models, the bundles, the registry's families and children, compiled
-    trees. Each full collection would walk all of them again (tens of
-    thousands of objects) to find the few cycles a round leaves, so they
-    move to the permanent generation once, after a collection that frees
-    the first round's garbage. They are still freed by reference counting
-    when dropped. ``gc.freeze`` is process-wide: a thread-hosted shard
-    also freezes its host's objects (the daemon's and the other shards').
+    Both long-running processes call this once their long-lived state is
+    built. A shard does so after its first round, when it holds mostly
+    the models, the bundles, the registry's families and children and the
+    compiled trees. The daemon does so in
+    :meth:`~repro.serve.daemon.FleetDaemon.start`, after its shard
+    processes are forked and before its collector and HTTP threads start,
+    when it holds the trained models and its boot heap.
+    Each full collection would otherwise walk all of them again (tens of
+    thousands of objects) to find the few cycles a round or a scrape
+    leaves, and in the daemon it would hold the interpreter that the
+    ``/metrics`` handler needs. So they move to the permanent generation
+    once, after a collection that frees the garbage made so far. They are
+    still freed by reference counting when dropped. ``gc.freeze`` is
+    process-wide: a thread-hosted shard also freezes its host's objects
+    (the daemon's and the other shards').
     """
     gc.collect()
     gc.freeze()

@@ -16,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from repro.serve import ServeConfig, ShardRunner
+from repro.serve import FleetDaemon, ServeConfig, ShardRunner
 from repro.serve import shard as shard_module
 
 NODES = 8
@@ -79,6 +79,29 @@ def test_a_looped_shard_freezes_its_long_lived_state(serve_model):
         late = [object(), []]  # a container made after the freeze
         assert id(late) in {id(obj) for obj in gc.get_objects()}
     finally:
+        gc.unfreeze()
+
+
+
+def test_a_started_daemon_freezes_its_boot_heap(serve_model):
+    """Once its shard processes are forked, the daemon moves its boot heap
+    (the trained model above all) out of the cyclic collector's scans, so
+    that a full collection does not walk it while a scrape waits; objects
+    made after the start are still scanned."""
+    gc.unfreeze()
+    config = ServeConfig(nodes=2, shards=1, run_seconds=RUN_SECONDS, runs=1,
+                         port=0, processes=True)
+    daemon = FleetDaemon(config, model=serve_model)
+    try:
+        daemon.start()
+        assert gc.get_freeze_count() > 0
+        scanned = {id(obj) for obj in gc.get_objects()}
+        assert id(serve_model) not in scanned
+        assert id(daemon.registry) not in scanned
+        late = [object(), []]  # a container made after the start
+        assert id(late) in {id(obj) for obj in gc.get_objects()}
+    finally:
+        daemon.stop(timeout=120)
         gc.unfreeze()
 
 
