@@ -5,8 +5,8 @@ computing nodes (§4.1); this package is that service as a long-running
 daemon: the fleet is split across shard workers — each an independent
 :class:`~repro.monitor.FleetMonitor` tick loop over its own
 :class:`~repro.monitor.PowerMonitorService` and private metrics registry —
-feeding one merge collector over an event queue, with a stdlib HTTP
-surface on top (``/metrics``, ``/healthz``, ``/stream``).
+feeding one merge collector, each over an event queue of its own, with
+a stdlib HTTP surface on top (``/metrics``, ``/healthz``, ``/stream``).
 
 Sharding is a *layout*, not a semantic: every per-node seed derives from
 the node's global index, observation never mutates the shared model, and

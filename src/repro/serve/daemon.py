@@ -4,7 +4,7 @@
 a running service: it trains (or receives) one HighRPM model, hosts each
 shard's :class:`~repro.serve.shard.ShardRunner` on a worker process
 (``processes=True``, the deployment shape) or an in-process thread
-(tests/benchmarks), drains their event queue through a
+(tests/benchmarks), drains each shard's own event channel through a
 :class:`~repro.serve.merge.EventCollector`, and serves
 ``/metrics`` / ``/healthz`` / ``/stream`` from the merged state
 (:mod:`repro.serve.http`).
@@ -18,7 +18,10 @@ then closes the ndjson file and end-of-streams every ``/stream`` client.
 A process-hosted shard that dies without reporting ``done`` (SIGKILL, the
 OOM killer) cannot drain itself: the daemon notices its exit code, posts
 its ``error`` and ``done`` on its behalf so the drain still completes, and
-reports it ``failed``. It is not restarted.
+reports it ``failed``. It is not restarted. Each shard writes to a channel
+of its own, so a shard killed in the middle of a send (holding the
+channel's write lock, or leaving half a message in its pipe) blocks no
+other shard and no post of the daemon's.
 """
 
 from __future__ import annotations
@@ -151,12 +154,12 @@ class FleetDaemon:
             ndjson=config.ndjson, keep_results=config.keep_results,
         )
         self._workers: list = []
-        self._events = None
         #: shard id -> error posted on behalf of a worker that died
         #: without ``done``; guarded by ``_reap_lock`` (HTTP threads reap).
         self._dead: "dict[int, str]" = {}
         self._reap_lock = threading.Lock()
-        self._collector_thread: "threading.Thread | None" = None
+        #: one collector thread per shard channel
+        self._readers: "list[threading.Thread]" = []
         self._http: "ServeHTTPServer | None" = None
         self._http_thread: "threading.Thread | None" = None
         self._stop = None
@@ -177,44 +180,40 @@ class FleetDaemon:
             self.gpu = train_gpu_models(config)
         if config.processes:
             ctx = _fork_context()
-            events = ctx.Queue()
+            channels = [ctx.Queue() for _ in range(config.shards)]
             self._stop = ctx.Event()
-            self._workers = [
-                ctx.Process(
-                    target=run_worker,
-                    args=(s, config, self.model, events, self._stop,
-                          self.gpu),
-                    daemon=True, name=f"repro-serve-shard{s}",
-                )
-                for s in range(config.shards)
-            ]
+            host = ctx.Process
         else:
-            events = queue.Queue()
+            channels = [queue.Queue() for _ in range(config.shards)]
             self._stop = threading.Event()
-            self._workers = [
-                threading.Thread(
-                    target=run_worker,
-                    args=(s, config, self.model, events, self._stop,
-                          self.gpu),
-                    daemon=True, name=f"repro-serve-shard{s}",
-                )
-                for s in range(config.shards)
-            ]
-        self._events = events
+            host = threading.Thread
+        self._workers = [
+            host(
+                target=run_worker,
+                args=(s, config, self.model, channels[s], self._stop,
+                      self.gpu),
+                daemon=True, name=f"repro-serve-shard{s}",
+            )
+            for s in range(config.shards)
+        ]
         if self._stop_early:
             self._stop.set()
         # Workers first (fork before daemon-side threads exist), then the
-        # collector that consumes them, then the scrape surface.
+        # collector threads that consume them, then the scrape surface.
         for worker in self._workers:
             worker.start()
         # The models and the boot heap outlive every scrape: keep full
         # collections from walking them while the HTTP handler waits.
         freeze_long_lived()
-        self._collector_thread = threading.Thread(
-            target=self.collector.run, args=(events,),
-            daemon=True, name="repro-serve-collector",
-        )
-        self._collector_thread.start()
+        self._readers = [
+            threading.Thread(
+                target=self.collector.run, args=(channel, s),
+                daemon=True, name=f"repro-serve-collector{s}",
+            )
+            for s, channel in enumerate(channels)
+        ]
+        for reader in self._readers:
+            reader.start()
         self._http = ServeHTTPServer((config.host, config.port), self)
         self._http_thread = threading.Thread(
             target=self._http.serve_forever,
@@ -253,9 +252,10 @@ class FleetDaemon:
     def _reap(self) -> "dict[int, str]":
         """Fail, once, every worker process that exited without ``done``.
 
-        Its ``error`` and ``done`` go through the event queue like a
-        shard's own, so the collector's drain completes. Returns every
-        shard failed this way so far.
+        Its ``error`` and ``done`` go straight to the collector, not
+        through the dead shard's channel, which it may have left locked or
+        holding half a message; the collector's drain then completes.
+        Returns every shard failed this way so far.
         """
         with self._reap_lock:
             for s, worker in enumerate(self._workers):
@@ -265,8 +265,8 @@ class FleetDaemon:
                 message = (f"WorkerDied: shard worker exited with code "
                            f"{code} before reporting done")
                 self._dead[s] = message
-                self._events.put(("error", s, message))
-                self._events.put(("done", s, time.monotonic()))
+                self.collector.dispatch(("error", s, message))
+                self.collector.dispatch(("done", s, time.monotonic()))
             return dict(self._dead)
 
     def wait(self, timeout: "float | None" = None) -> bool:
@@ -278,21 +278,19 @@ class FleetDaemon:
                 else max(deadline - time.monotonic(), 0.0)
             )
         self._reap()
-        if self._collector_thread is not None:
-            self._collector_thread.join(
-                None if deadline is None
-                else max(deadline - time.monotonic(), 0.0)
-            )
-            if not self._collector_thread.is_alive() \
-                    and self._stop_requested_at is not None:
-                self.registry.gauge(
-                    "repro_serve_drain_seconds",
-                    "Stop-request to fully-drained latency.",
-                ).set(time.monotonic() - self._stop_requested_at)
-        return not any(w.is_alive() for w in self._workers) and (
-            self._collector_thread is None
-            or not self._collector_thread.is_alive()
+        # A dead shard's collector thread may stay blocked on its channel
+        # for good; the drain is complete once the collector has finished.
+        finished = not self._readers or self.collector.finished.wait(
+            None if deadline is None
+            else max(deadline - time.monotonic(), 0.0)
         )
+        if finished and self._readers \
+                and self._stop_requested_at is not None:
+            self.registry.gauge(
+                "repro_serve_drain_seconds",
+                "Stop-request to fully-drained latency.",
+            ).set(time.monotonic() - self._stop_requested_at)
+        return finished and not any(w.is_alive() for w in self._workers)
 
     def stop(self, timeout: "float | None" = None) -> bool:
         """Drain, join, and shut down the HTTP server."""

@@ -1,13 +1,13 @@
 """Merge side of the daemon: event collector and the /stream hub.
 
-One :class:`EventCollector` thread drains the shard event queue and fans
-everything out: each stream record is encoded once, by the compiled
-:func:`repro.stream.encode_record`, and the same bytes go to the
-:class:`StreamHub` (live ``/stream`` clients) and the optional ndjson
-file; registry snapshots and health states are kept per shard for
-``/metrics`` and ``/healthz``, and each event's queue transit time lands
-in the ``repro_serve_merge_latency_seconds`` histogram — the merge-sink
-latency perfbench reports as ``serve.merge_latency_ms_mean``.
+The :class:`EventCollector` drains each shard's own event channel on a
+thread of its own and fans everything out: each stream record is encoded
+once, by the compiled :func:`repro.stream.encode_record`, and the same
+bytes go to the :class:`StreamHub` (live ``/stream`` clients) and the
+optional ndjson file; registry snapshots and health states are kept per
+shard for ``/metrics`` and ``/healthz``, and each event's queue transit
+time lands in the ``repro_serve_merge_latency_seconds`` histogram — the
+merge-sink latency perfbench reports as ``serve.merge_latency_ms_mean``.
 """
 
 from __future__ import annotations
@@ -109,9 +109,13 @@ class StreamHub:
 class EventCollector:
     """Drains shard events until every shard reported ``done``.
 
-    Runs on a daemon-side thread (:meth:`run` is the thread target). All
-    mutated structures are swapped under the GIL and only read whole by
-    the HTTP handlers, so no further locking is needed.
+    :meth:`run` is the thread target for one event channel. The daemon
+    gives every shard a channel of its own, so that a shard process killed
+    in the middle of a send (holding its channel's write lock, or leaving
+    half a message in the pipe) stalls only its own channel's thread; the
+    daemon then posts that shard's ``error`` and ``done`` through
+    :meth:`dispatch`. Events are dispatched one at a time under a lock;
+    the HTTP handlers only read the collected structures whole.
     """
 
     def __init__(self, registry, hub: StreamHub, n_shards: int,
@@ -128,6 +132,9 @@ class EventCollector:
         self.results: "dict[str, list]" = {}
         self.done: "set[int]" = set()
         self.errors: "dict[int, str]" = {}
+        #: set once every shard is done and the outputs are closed
+        self.finished = threading.Event()
+        self._lock = threading.Lock()
         self._fh = None
         self._events_counter = registry.counter(
             "repro_serve_events_total",
@@ -140,8 +147,9 @@ class EventCollector:
         )
 
     # ------------------------------------------------------------ events
-    def run(self, events) -> None:
-        """Thread target: drain until all shards are done, then finalize.
+    def run(self, events, shard: int) -> None:
+        """Thread target: drain shard ``shard``'s ``events`` until that
+        shard is done or the collector has finished.
 
         One blocking ``get`` per event. Draining in batches (a blocking
         ``get``, then ``get_nowait`` until the queue is momentarily empty)
@@ -150,9 +158,20 @@ class EventCollector:
         412 ms with one ``get`` per event, the runs of each spreading
         over hundreds of milliseconds.
         """
-        while len(self.done) < self.n_shards:
-            self._dispatch(events.get())
-        self._finalize()
+        while not self.finished.is_set() and shard not in self.done:
+            self.dispatch(events.get())
+
+    def dispatch(self, event) -> None:
+        """Take one shard event; the last shard's ``done`` closes the
+        ndjson file and ends every ``/stream``. Events that arrive after
+        that (a dead shard's leftovers) are dropped."""
+        with self._lock:
+            if self.finished.is_set():
+                return
+            self._dispatch(event)
+            if len(self.done) == self.n_shards:
+                self._finalize()
+                self.finished.set()
 
     def _dispatch(self, event) -> None:
         kind = event[0]

@@ -8,7 +8,8 @@ process boundaries, and the daemon merges the per-shard snapshots for
 ``/metrics`` (:mod:`repro.obs.merge`).
 
 :func:`run_worker` is the process/thread entry point. Everything it emits
-travels one way over the event queue as plain tuples::
+travels one way over the shard's own event queue (its channel; no other
+shard writes to it) as plain tuples::
 
     ("chunk",   shard, t_emit, record)   # JsonlSink-shaped chunk record
     ("end_run", shard, t_emit, record)   # run-boundary record
@@ -221,24 +222,24 @@ class ShardRunner:
             self.await_collector(self.sink.records - records)
 
     def await_collector(self, per_round: int) -> None:
-        """Backpressure: wait until the event queue holds at most one
-        round's records (``per_round``) per shard, or ``BACKLOG_WAIT_S``.
+        """Backpressure: wait until the shard's event queue holds at most
+        one round's records (``per_round``), or ``BACKLOG_WAIT_S``.
 
         A shard that outruns the daemon's collector would otherwise pile
         its records up in the queue without bound (a process queue keeps
         them in the shard's own memory until the collector reads them), so
-        the shard stays at most about a round ahead. The queue's size
-        counts every shard's records, and those a killed shard put but
-        never sent stay counted, so the wait is capped. A queue that cannot
-        report its size (a process queue on macOS) is not waited on.
+        the shard stays at most about a round ahead. The queue is the
+        shard's own, so its size counts only this shard's records. The
+        wait is capped all the same: a collector that has stopped reading
+        must not hang the shard. A queue that cannot report its size (a
+        process queue on macOS) is not waited on.
         """
         try:
             backlog = self.events.qsize()
         except (AttributeError, NotImplementedError):
             return
-        limit = per_round * self.config.shards
         deadline = time.monotonic() + BACKLOG_WAIT_S
-        while backlog > limit and time.monotonic() < deadline:
+        while backlog > per_round and time.monotonic() < deadline:
             time.sleep(BACKLOG_POLL_S)
             backlog = self.events.qsize()
 

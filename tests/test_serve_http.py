@@ -11,6 +11,7 @@ import multiprocessing as mp
 import os
 import queue
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -24,6 +25,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.obs import MetricsRegistry, parse_prometheus
 from repro.serve import FleetDaemon, ServeConfig, merge
+from repro.serve import daemon as daemon_module
 from repro.stream import encode_record, iter_jsonl
 
 FAULT_NODE = "node3"
@@ -166,7 +168,7 @@ def test_collector_encodes_each_record_once(tmp_path, monkeypatch):
     for record in records:
         events.put((record["event"], 0, time.monotonic(), record))
     events.put(("done", 0, time.monotonic()))
-    collector.run(events)
+    collector.run(events, 0)
     assert encoded == records
     published = [client.get_nowait() for _ in records]
     assert client.get_nowait() is None  # end of stream
@@ -326,6 +328,57 @@ def test_sigkilled_shard_reads_failed_and_does_not_block_the_drain(
                  if config.shard_of(i) == 0]
     assert survivors
     assert all(last_by_node[node] == "end_run" for node in survivors)
+
+
+def _die_holding_the_write_lock(events) -> None:
+    events._wlock.acquire()
+
+
+def _die_mid_message(events) -> None:
+    # A length header promising more bytes than ever follow it.
+    os.write(events._writer.fileno(), struct.pack("!i", 4096) + b"half")
+
+
+@pytest.mark.parametrize("die", [_die_holding_the_write_lock,
+                                 _die_mid_message],
+                         ids=["holding-write-lock", "mid-message"])
+def test_a_shard_killed_mid_send_blocks_no_other_shard(
+        serve_model, tmp_path, monkeypatch, die):
+    """A process shard SIGKILLed in the middle of a send leaves its event
+    channel's write lock held, or half a message in the pipe. That must
+    stall no other shard and not the drain: each shard sends over a
+    channel of its own, and the daemon posts the dead shard's ``error``
+    and ``done`` straight to the collector."""
+    real_worker = daemon_module.run_worker
+
+    def worker(shard_id, config, model, events, stop, gpu=None):
+        if shard_id == 1:
+            die(events)
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_worker(shard_id, config, model, events, stop, gpu)
+
+    monkeypatch.setattr(daemon_module, "run_worker", worker)
+    ndjson = tmp_path / "stream.jsonl"
+    config = ServeConfig(
+        nodes=2, shards=2, runs=1, run_seconds=30, chunk_size=8, port=0,
+        processes=True, ndjson=str(ndjson),
+    )
+    d = FleetDaemon(config, model=serve_model)
+    d.start()
+    try:
+        drained = d.wait(timeout=60)
+        status, body = _healthz_body(d)
+    finally:
+        d.stop(timeout=5)
+    assert drained
+    assert status == 503
+    assert "code -9" in body["shards"]["s1"]["error"]
+    assert body["shards"]["s0"]["state"] == "drained"
+    survivors = {f"node{i}" for i in range(config.nodes)
+                 if config.shard_of(i) == 0}
+    records = list(iter_jsonl(ndjson))
+    assert {r["node_id"] for r in records} == survivors
+    assert all(r["event"] == "end_run" for r in records[-len(survivors):])
 
 
 # ---------------------------------------------------------------- SIGTERM

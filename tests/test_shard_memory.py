@@ -132,12 +132,13 @@ def _runner(serve_model, events, shards=1, runs=0):
 def test_a_shard_waits_for_the_collector_after_a_round(serve_model,
                                                        monkeypatch):
     """Backpressure: a shard does not start its next round while more than
-    a round's records per shard are still queued, so a collector slower
-    than the shard cannot make the shard's memory grow."""
+    a round of its records are still queued, so a collector slower than
+    the shard cannot make the shard's memory grow. The queue is the
+    shard's own, so the bound does not grow with the shard count."""
     events = _SlowCollector(backlog=100, per_look=3)
     _runner(serve_model, events, shards=2).await_collector(per_round=10)
-    assert events.backlog == 19  # at most 2 shards x 10 records left
-    assert events.looks == 27
+    assert events.backlog == 10  # at most one round's 10 records left
+    assert events.looks == 30
 
     waits = []
     real = ShardRunner.await_collector
@@ -153,8 +154,8 @@ def test_a_shard_waits_for_the_collector_after_a_round(serve_model,
 
 
 def test_the_wait_for_the_collector_is_capped(serve_model, monkeypatch):
-    """Records a killed process shard put but never sent stay counted in
-    the queue's size; the wait gives up instead of hanging the shard."""
+    """A collector that stops reading leaves the queue's size high for
+    good; the wait gives up instead of hanging the shard."""
     monkeypatch.setattr(shard_module, "BACKLOG_WAIT_S", 0.05)
     events = _SlowCollector(backlog=10_000, per_look=0)
     start = time.monotonic()

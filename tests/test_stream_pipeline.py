@@ -386,7 +386,7 @@ class TestJsonlSink:
         events.put(("end_run", 0, time.monotonic(),
                     end_run_record("n0", "fft", "dynamic")))
         events.put(("done", 0, time.monotonic()))
-        collector.run(events)
+        collector.run(events, 0)
         lines = sink_path.read_bytes().splitlines()
         assert len(lines) == 3
         assert daemon_path.read_bytes().splitlines() == lines
